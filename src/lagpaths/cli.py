@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -257,7 +258,9 @@ _SCHEMA = {
     "seed": int,
 }
 
-_INLINE_FIELD_KEYS = {"field", "amplitude", "width", "center"}
+_INLINE_SCHEMA = {
+    "field": str, "amplitude": (int, float), "width": (int, float), "center": list
+}
 
 _REQUIRED = ("model", "scenario", "integrator", "output")
 
@@ -271,14 +274,22 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path + key!r} must be a mapping")
             _check_keys(value, expected, path + key + ".")
-        elif expected is not None:
-            if key == "scenario" and isinstance(value, dict):
-                bad = set(value) - _INLINE_FIELD_KEYS
-                if bad:
-                    raise ConfigError(f"unknown inline scenario keys {sorted(bad)}")
-                continue
-            if not isinstance(value, expected):
-                raise ConfigError(f"{path + key!r} has the wrong type")
+            continue
+        if key == "scenario" and isinstance(value, dict):
+            _check_keys(value, _INLINE_SCHEMA, "scenario.")
+            continue
+        # no key takes a flag, and bool would pass as an int
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ConfigError(f"{path + key!r} has the wrong type")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path + key!r} must be finite")
+
+
+def _is_number_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in value
+    )
 
 
 @dataclasses.dataclass
@@ -300,6 +311,10 @@ class RunConfig:
         for key in _REQUIRED:
             if key not in raw:
                 raise ConfigError(f"missing required configuration key {key!r}")
+        try:
+            model = kernels.normalize_model_tag(raw["model"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         integ = dict(raw["integrator"])
         kind = integ.get("kind", "rk4")
         if kind not in ("rk4", "taylor"):
@@ -312,9 +327,10 @@ class RunConfig:
         integ.setdefault("safety", 0.5)
         if not 0 < integ["safety"] < 1:
             raise ConfigError("integrator.safety must lie in (0, 1)")
-        if not 1 <= integ["taylor_order"] <= taylor.FAST_MAX_ORDER:
+        # radius estimation and the envelope fit need order >= 4
+        if not 4 <= integ["taylor_order"] <= taylor.FAST_MAX_ORDER:
             raise ConfigError(
-                f"integrator.taylor_order must lie in 1..{taylor.FAST_MAX_ORDER}"
+                f"integrator.taylor_order must lie in 4..{taylor.FAST_MAX_ORDER}"
             )
         diag = dict(raw.get("diagnostics", {}))
         diag.setdefault("pair_samples", 2048)
@@ -327,11 +343,20 @@ class RunConfig:
                 raise ConfigError("grid needs 'extent' and 'n_per_axis'")
             if grid["n_per_axis"] < 2:
                 raise ConfigError("grid.n_per_axis must be >= 2")
+            dim = 3 if model == "euler3d" else 2
+            extent = grid["extent"]
+            if len(extent) != dim or not all(map(_is_number_pair, extent)):
+                raise ConfigError(
+                    f"grid.extent must be {dim} [lo, hi] number pairs for {model}"
+                )
+        inline = raw["scenario"] if isinstance(raw["scenario"], dict) else {}
+        if not _is_number_pair(inline.get("center", [0, 0])):
+            raise ConfigError("scenario.center must be an [x, y] number pair")
         delta = raw.get("regularization_delta")
         if delta is not None and delta < 0:
             raise ConfigError("regularization_delta must be >= 0")
         return RunConfig(
-            model=kernels.normalize_model_tag(raw["model"]),
+            model=model,
             scenario=raw["scenario"],
             grid=grid,
             regularization_delta=delta,
@@ -467,19 +492,12 @@ def _is_point_vortex(state: dynamics.ParticleState, spec: dynamics.ModelSpec):
 
 
 def _collect_diagnostics(
-    state, spec, grad_u_hist, times, pair_samples, seed, threads
+    state, spec, grad_u, grad_u_hist, times, pair_samples, seed
 ) -> dynamics.DiagnosticsRecord:
-    sup = dynamics.grad_u_sup(
-        dataclasses.replace(spec, evolve_gradients=True), state, threads=threads
-    )
+    sup = dynamics.grad_u_sup(grad_u)
     grad_u_hist.append(sup)
     times.append(state.t)
-    if len(times) >= 2:
-        lam = float(
-            np.exp(np.trapezoid(np.asarray(grad_u_hist), x=np.asarray(times)))
-        )
-    else:
-        lam = 1.0
+    lam = dynamics.lambda_accumulate(grad_u_hist, times)
     lo, hi = dynamics.chord_arc(state, pair_samples, seed=seed)
     det_dev = (
         dynamics.incompressibility_residual(state)
@@ -503,9 +521,13 @@ def _collect_diagnostics(
     )
 
 
-def run_simulation(config: RunConfig, threads: int = 1) -> dict:
-    """RK4 (or Taylor) time loop with periodic diagnostics and snapshots."""
-    state, spec = build_run(config)
+def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -> dict:
+    """RK4 (or Taylor) time loop with periodic diagnostics and snapshots.
+
+    ``run`` is ``build_run(config)``; ``jets``, the Taylor expansion at its
+    initial state, saves the first Taylor step from expanding again.
+    """
+    state, spec = run
     integ = config.integrator
     kind = integ["kind"]
     if kind == "taylor":
@@ -519,21 +541,30 @@ def run_simulation(config: RunConfig, threads: int = 1) -> dict:
     grad_u_hist: list[float] = []
     times: list[float] = []
 
-    def snapshot(s):
-        append_state_rows(state_lines, s)
+    # the diagnostics need grad u even where G is not evolved; with G
+    # evolved, this evaluation is exactly RK4's first stage at the state
+    diag_spec = dataclasses.replace(spec, evolve_gradients=True)
+    reuse_rhs = kind == "rk4" and spec.evolve_gradients
 
-    rec = _collect_diagnostics(
-        state, spec, grad_u_hist, times, pair_samples, config.seed, threads
-    )
-    diag_lines.append(diag_row(rec))
-    snapshot(state)
+    def diagnose(s):
+        rhs = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
+        rec = _collect_diagnostics(
+            s, spec, rhs[1], grad_u_hist, times, pair_samples, config.seed
+        )
+        diag_lines.append(diag_row(rec))
+        append_state_rows(state_lines, s)
+        return rec, rhs
+
+    rec, rhs = diagnose(state)
     first = rec
 
     step = 0
     while state.t < t_end - 1e-12:
         if kind == "rk4":
             h = min(dt, t_end - state.t)
-            state = dynamics.rk4_step(spec, state, h, threads=threads)
+            state = dynamics.rk4_step(
+                spec, state, h, threads=threads, rhs0=rhs if reuse_rhs else None
+            )
         else:
             cap = min(dt, t_end - state.t)
             state, _ = taylor.taylor_step(
@@ -543,14 +574,13 @@ def run_simulation(config: RunConfig, threads: int = 1) -> dict:
                 safety=integ["safety"],
                 h_cap=cap / integ["safety"],
                 threads=threads,
+                jets=jets,
             )
+            jets = None
+        rhs = None
         step += 1
         if step % every == 0 or state.t >= t_end - 1e-12:
-            rec = _collect_diagnostics(
-                state, spec, grad_u_hist, times, pair_samples, config.seed, threads
-            )
-            diag_lines.append(diag_row(rec))
-            snapshot(state)
+            rec, rhs = diagnose(state)
 
     drifts = {}
     if _is_point_vortex(state, spec):
@@ -571,7 +601,8 @@ def run_simulation(config: RunConfig, threads: int = 1) -> dict:
         "lambda": rec.lambda_bound,
         "det_dev": rec.det_grad_max_dev,
         "invariant_drifts": drifts,
-        "extent_sensitivity": _extent_sensitivity(state, spec, threads),
+        # the loop ends on a diagnosed state, so rhs holds its velocity
+        "extent_sensitivity": _extent_sensitivity(state, spec, rhs[0], threads),
     }
 
     out = config.output_dir
@@ -581,12 +612,12 @@ def run_simulation(config: RunConfig, threads: int = 1) -> dict:
     return summary
 
 
-def _extent_sensitivity(state, spec, threads) -> Optional[float]:
+def _extent_sensitivity(state, spec, u_full, threads) -> Optional[float]:
     """Relative change of the fastest particle's speed when the outermost
-    label shell is dropped: a direct measure of domain-truncation error."""
+    label shell is dropped: a direct measure of domain-truncation error.
+    ``u_full`` is the velocity of the whole state."""
     if state.n < 16 or state.theta0 is None:
         return None
-    u_full = dynamics.velocity(spec, state, threads=threads)
     lo = state.labels.min(axis=0)
     hi = state.labels.max(axis=0)
     span = hi - lo
@@ -596,23 +627,7 @@ def _extent_sensitivity(state, spec, threads) -> Optional[float]:
     )
     if inner.sum() < 4 or inner.all():
         return None
-    trimmed = dynamics.ParticleState(
-        dim=state.dim,
-        labels=state.labels[inner],
-        positions=state.positions[inner],
-        weights=state.weights[inner],
-        grads=None if state.grads is None else state.grads[inner],
-        theta0=None if state.theta0 is None else state.theta0[inner],
-        grad_theta0=(
-            None if state.grad_theta0 is None else state.grad_theta0[inner]
-        ),
-        omega0=None if state.omega0 is None else state.omega0[inner],
-        boussinesq_w=(
-            None if state.boussinesq_w is None else state.boussinesq_w[inner]
-        ),
-        t=state.t,
-    )
-    u_trim = dynamics.velocity(spec, trimmed, threads=threads)
+    u_trim = dynamics.velocity(spec, state.subset(inner), threads=threads)
     speeds = np.linalg.norm(u_full[inner], axis=1)
     k = int(np.argmax(speeds))
     if speeds[k] == 0.0:
@@ -620,12 +635,19 @@ def _extent_sensitivity(state, spec, threads) -> Optional[float]:
     return float(np.linalg.norm(u_trim[k] - u_full[inner][k]) / speeds[k])
 
 
-def run_taylor_analysis(config: RunConfig, threads: int = 1) -> tuple[dict, list[str]]:
-    """Jet expansion at the initial state: radius data, envelope, bound."""
-    state, spec = build_run(config)
+def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tuple:
+    """Jet expansion at the initial state: radius data, envelope, bound.
+
+    Returns the summary, the orders.csv lines and the jets, which carry what a
+    first Taylor step needs (their X coefficients are the same either way).
+    """
+    state, spec = run
     taylor.ensure_taylor_model(spec)
     order = config.integrator["taylor_order"]
-    jets = taylor.time_jets_fast(spec, state, order, threads=threads)
+    with_g = config.integrator["kind"] == "taylor" and spec.evolve_gradients
+    jets = taylor.time_jets_fast(
+        spec, state, order, with_gradients=with_g, threads=threads
+    )
     est = taylor.estimate_radius(jets, method="ratio")
     fitted_c, fitted_r, satisfied = taylor.fit_cauchy(jets)
 
@@ -670,7 +692,7 @@ def run_taylor_analysis(config: RunConfig, threads: int = 1) -> tuple[dict, list
                 ],
             }
         )
-    return summary, lines
+    return summary, lines, jets
 
 
 def run_radius_bound(config: RunConfig) -> dict:
@@ -762,7 +784,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0 if report.all_passed() else 1
         if args.command == "simulate":
             config = _load_config(args.config)
-            summary = run_simulation(config, threads=args.threads)
+            summary = run_simulation(config, build_run(config), threads=args.threads)
             config.output_dir.mkdir(parents=True, exist_ok=True)
             text = json.dumps(summary, indent=2, sort_keys=True)
             (config.output_dir / "summary.json").write_text(text + "\n")
@@ -770,9 +792,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "taylor":
             config = _load_config(args.config)
-            summary, order_lines = run_taylor_analysis(config, threads=args.threads)
-            run_summary = run_simulation(config, threads=args.threads)
-            summary.update(run_summary)
+            run = build_run(config)
+            summary, order_lines, jets = run_taylor_analysis(
+                config, run, threads=args.threads
+            )
+            summary.update(run_simulation(config, run, threads=args.threads, jets=jets))
             config.output_dir.mkdir(parents=True, exist_ok=True)
             (config.output_dir / "orders.csv").write_text(
                 "\n".join(order_lines) + "\n"

@@ -95,6 +95,13 @@ class ParticleState:
     def replace(self, **kw) -> "ParticleState":
         return dataclasses.replace(self, **kw)
 
+    def subset(self, mask) -> "ParticleState":
+        """The particles selected by a boolean mask or index array."""
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return self.replace(
+            **{k: v[mask] for k, v in fields.items() if isinstance(v, np.ndarray)}
+        )
+
 
 def identity_grads(n: int, dim: int) -> np.ndarray:
     return np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
@@ -177,11 +184,8 @@ def _brackets_2d(state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
     """({theta0, X_1}, {theta0, X_2}) at every particle from G and grad theta0."""
     if state.grad_theta0 is None or state.grads is None:
         raise ConfigError("model needs grad_theta0 and evolved gradients")
-    th = state.grad_theta0
-    G = state.grads
-    b1 = th[:, 0] * G[:, 0, 1] - th[:, 1] * G[:, 0, 0]
-    b2 = th[:, 0] * G[:, 1, 1] - th[:, 1] * G[:, 1, 0]
-    return b1, b2
+    th, G = state.grad_theta0, state.grads
+    return poisson_bracket(th, G[:, 0]), poisson_bracket(th, G[:, 1])
 
 
 def _vorticity_density(spec: ModelSpec, state: ParticleState) -> np.ndarray:
@@ -199,13 +203,14 @@ def _vorticity_density(spec: ModelSpec, state: ParticleState) -> np.ndarray:
     return dens
 
 
-def _chunk_ranges(n: int, max_pair_block: int = 2_000_000):
-    rows = max(1, min(n, max_pair_block // max(n, 1)))
-    return [(s, min(s + rows, n)) for s in range(0, n, rows)]
+def _run_chunks(fn, n: int, threads: int = 1, budget: int = 2_000_000) -> list:
+    """fn over row blocks (i0, i1) of an n-row pairwise sum, in row order.
 
-
-def _run_chunks(fn, n, threads):
-    chunks = _chunk_ranges(n)
+    Each block has about budget / n rows, so the boundaries (and with them
+    the summation order) depend on n and budget only, never on threads.
+    """
+    rows = max(1, min(n, budget // max(n, 1)))
+    chunks = [(s, min(s + rows, n)) for s in range(0, n, rows)]
     if threads <= 1 or len(chunks) == 1:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -373,30 +378,23 @@ def velocity(spec: ModelSpec, state: ParticleState, threads: int = 1) -> np.ndar
     return u
 
 
-def velocity_gradient(
-    spec: ModelSpec, state: ParticleState, threads: int = 1
-) -> np.ndarray:
-    _, grad_u, _ = evaluate_rhs(spec, state, threads=threads)
-    if grad_u is None:
-        raise ConfigError("velocity gradient requires evolve_gradients")
-    return grad_u
-
-
-def grad_rhs(spec: ModelSpec, state: ParticleState, threads: int = 1) -> np.ndarray:
-    """dG/dt = (grad u) G at every particle."""
-    grad_u = velocity_gradient(spec, state, threads=threads)
-    return np.einsum("nij,njk->nik", grad_u, state.grads)
-
-
 def rk4_step(
-    spec: ModelSpec, state: ParticleState, dt: float, threads: int = 1
+    spec: ModelSpec,
+    state: ParticleState,
+    dt: float,
+    threads: int = 1,
+    rhs0: Optional[tuple] = None,
 ) -> ParticleState:
-    """Classical four-stage step for the coupled (X, G, W) system."""
+    """Classical four-stage step for the coupled (X, G, W) system.
+
+    ``rhs0`` is ``evaluate_rhs(spec, state)`` when the caller already has it;
+    it then serves as the first stage instead of being recomputed.
+    """
     if dt <= 0:
         raise ConfigError("dt must be positive")
 
-    def rhs(s: ParticleState):
-        u, grad_u, w_dot = evaluate_rhs(spec, s, threads=threads)
+    def rhs(s: ParticleState, evaluated=None):
+        u, grad_u, w_dot = evaluated or evaluate_rhs(spec, s, threads=threads)
         g_dot = None
         if grad_u is not None:
             g_dot = np.einsum("nij,njk->nik", grad_u, s.grads)
@@ -411,7 +409,7 @@ def rk4_step(
             kw["boussinesq_w"] = base.boussinesq_w + factor * w_dot
         return base.replace(**kw)
 
-    k1 = rhs(state)
+    k1 = rhs(state, rhs0)
     k2 = rhs(advanced(state, k1, dt / 2.0))
     k3 = rhs(advanced(state, k2, dt / 2.0))
     k4 = rhs(advanced(state, k3, dt))
@@ -456,15 +454,18 @@ class DiagnosticsRecord:
 def nearest_neighbor_pairs(labels: np.ndarray) -> np.ndarray:
     """Index pairs (i, nn(i)) under label distance, computed chunkwise."""
     n = len(labels)
-    out = np.empty(n, dtype=int)
-    for i0, i1 in _chunk_ranges(n):
+
+    def chunk_fn(rng):
+        i0, i1 = rng
         d2 = np.sum(
             (labels[i0:i1, None, :] - labels[None, :, :]) ** 2, axis=-1
         )
         rows = np.arange(i0, i1)
         d2[rows - i0, rows] = np.inf
-        out[i0:i1] = np.argmin(d2, axis=1)
-    return np.stack([np.arange(n), out], axis=-1)
+        return np.argmin(d2, axis=1)
+
+    nearest = np.concatenate(_run_chunks(chunk_fn, n))
+    return np.stack([np.arange(n), nearest], axis=-1)
 
 
 def chord_arc(
@@ -504,23 +505,23 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def grad_u_sup(spec: ModelSpec, state: ParticleState, threads: int = 1) -> float:
-    """Discrete sup norm of grad u, via (dG/dt) G^{-1} along the paths."""
-    dg = grad_rhs(spec, state, threads=threads)
-    ginv = np.linalg.inv(state.grads)
-    if not np.all(np.isfinite(ginv)):
-        raise NumericalFailureError("singular label gradient")
-    return float(np.max(operator_norms(np.einsum("nij,njk->nik", dg, ginv))))
+def grad_u_sup(grad_u: np.ndarray) -> float:
+    """Discrete sup norm of the grad u from ``evaluate_rhs``: the largest
+    spectral norm over the particles."""
+    return float(np.max(operator_norms(grad_u)))
 
 
-def lambda_accumulate(grad_u_history, dt: float) -> float:
-    """exp of the trapezoid-rule integral of the grad-u sup history."""
+def lambda_accumulate(grad_u_history, times) -> float:
+    """exp of the trapezoid-rule integral of the grad-u sup history.
+
+    ``times`` are the sample times; they need not be evenly spaced.
+    """
     hist = np.asarray(grad_u_history, dtype=float)
     if np.any(hist < 0):
         raise ValueError("grad_u history must be nonnegative")
     if len(hist) < 2:
         return 1.0
-    return float(np.exp(np.trapezoid(hist, dx=dt)))
+    return float(np.exp(np.trapezoid(hist, x=np.asarray(times, dtype=float))))
 
 
 def invariants_euler2d(state: ParticleState) -> tuple[float, np.ndarray, float]:

@@ -135,18 +135,6 @@ class Jet:
         return Jet(self.coeffs[1:] * n)
 
 
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_scale(a: Jet, factor: float) -> Jet:
-    return a.scale(factor)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
 def jet_norm_sq(v: Jet) -> Jet:
     """Sum of squared components of a vector jet (components on axis 1)."""
     if not v.shape:

@@ -237,11 +237,6 @@ class KernelExpr:
     def from_array(dim: int, arr: np.ndarray) -> "KernelExpr":
         return KernelExpr(dim, arr.shape, tuple(arr.reshape(-1)))
 
-    def as_array(self) -> np.ndarray:
-        out = np.empty(self.shape, dtype=object)
-        out.reshape(-1)[:] = self.comps
-        return out
-
     def component(self, *idx: int) -> ScalarKernel:
         flat = 0
         for i, n in zip(idx, self.shape):

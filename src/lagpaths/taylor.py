@@ -22,14 +22,21 @@ Holder data norms).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .combinatorics import mi_factorial, multi_indices_up_to, partitions_by_alpha
-from .dynamics import ModelSpec, ParticleState, evaluate_rhs, operator_norms
+from .dynamics import (
+    ROT90,
+    ModelSpec,
+    ParticleState,
+    _run_chunks,
+    evaluate_rhs,
+    operator_norms,
+    poisson_bracket,
+)
 from .errors import ConfigError, NumericalFailureError
 from .jets import Jet, kernel_on_jet, mul_coeffs
 from .kernels import KernelExpr, catalog, regularize
@@ -37,8 +44,6 @@ from .kernels import KernelExpr, catalog, regularize
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
 FAST_MAX_ORDER = 25
-
-ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass
@@ -59,28 +64,14 @@ class TrajectoryJets:
         return self.x_coeffs.shape[1]
 
     def positions_at(self, h: float) -> np.ndarray:
-        return _horner(self.x_coeffs, h)
+        return Jet(self.x_coeffs).evaluate(h)
 
     def grads_at(self, h: float) -> Optional[np.ndarray]:
-        return None if self.g_coeffs is None else _horner(self.g_coeffs, h)
+        return None if self.g_coeffs is None else Jet(self.g_coeffs).evaluate(h)
 
 
-def _horner(coeffs: np.ndarray, h: float) -> np.ndarray:
-    acc = np.array(coeffs[-1], copy=True)
-    for n in range(coeffs.shape[0] - 2, -1, -1):
-        acc = acc * h + coeffs[n]
-    return acc
-
-
-def _velocity_kernel(spec: ModelSpec) -> KernelExpr:
-    k = catalog(spec.model).velocity_kernel
-    if spec.regularization_delta > 0:
-        k = regularize(k, spec.regularization_delta)
-    return k
-
-
-def _gradient_kernel(spec: ModelSpec) -> KernelExpr:
-    k = catalog(spec.model).gradient_kernel
+def _regularized(spec: ModelSpec, k: KernelExpr) -> KernelExpr:
+    """The model kernel k, times the blob factor when the spec has a delta."""
     if spec.regularization_delta > 0:
         k = regularize(k, spec.regularization_delta)
     return k
@@ -128,7 +119,7 @@ def time_jets_oracle(
     if spec.model not in ("sqg", "euler2d"):
         raise ConfigError("the oracle route needs a time-independent density")
     dens = _taylor_density(spec, state)
-    expr = _velocity_kernel(spec)
+    expr = _regularized(spec, catalog(spec.model).velocity_kernel)
     d = state.dim
     n_pts = state.n
     w_rho = state.weights * dens
@@ -175,12 +166,6 @@ def time_jets_oracle(
 
 
 # -- jet propagation ----------------------------------------------------------
-
-
-def _pair_chunks(n: int, order: int):
-    budget = max(1, 3_000_000 // (order + 1))
-    rows = max(1, min(n, budget // max(n, 1)))
-    return [(s, min(s + rows, n)) for s in range(0, n, rows)]
 
 
 def _masked_pair_jets(xj: np.ndarray, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +221,9 @@ def time_jets_fast(
     d = state.dim
     n_pts = state.n
     w = state.weights
-    vel_expr = _velocity_kernel(spec)
-    grad_expr = _gradient_kernel(spec) if need_g else None
+    entry = catalog(spec.model)
+    vel_expr = _regularized(spec, entry.velocity_kernel)
+    grad_expr = _regularized(spec, entry.gradient_kernel) if need_g else None
 
     xj = np.zeros((order + 1, n_pts, d))
     xj[0] = state.positions
@@ -256,17 +242,13 @@ def time_jets_fast(
     if spec.model in ("sqg", "ipm") and th is None and need_g:
         raise ConfigError("bracket densities need grad_theta0")
 
-    def bracket_jets(gjets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # {theta0, X_1} and {theta0, X_2} as jets, per source particle
-        b1 = th[:, 0] * gjets[:, :, 0, 1] - th[:, 1] * gjets[:, :, 0, 0]
-        b2 = th[:, 0] * gjets[:, :, 1, 1] - th[:, 1] * gjets[:, :, 1, 0]
-        return b1, b2
-
     for n in range(order):
         m = n + 1  # orders carried into the RHS evaluation
         xz = xj[:m]
-        if need_g:
-            b1, b2 = bracket_jets(gj[:m])
+        if need_g and th is not None:
+            # {theta0, X_1} and {theta0, X_2} as jets, per source particle
+            b1 = poisson_bracket(th, gj[:m, :, 0])
+            b2 = poisson_bracket(th, gj[:m, :, 1])
 
         def chunk_rhs(rng):
             i0, i1 = rng
@@ -285,7 +267,6 @@ def time_jets_fast(
                     ),
                     w,
                 )
-            g_c = None
             if need_g:
                 kg = kernel_on_jet(grad_expr, Jet(y)).coeffs  # (m, ..., rows, N)
                 kg[..., mask] = 0.0
@@ -312,19 +293,17 @@ def time_jets_fast(
                         axis=1,
                     )
                     m_c = np.einsum("oackj,j->oack", kg_d, w)
-            return u_c, g_c if need_g else None, m_c if need_g else None
+            return u_c, m_c if need_g else None
 
-        chunks = _pair_chunks(n_pts, m)
-        if threads <= 1 or len(chunks) == 1:
-            parts = [chunk_rhs(c) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(chunk_rhs, chunks))
+        # every pair carries m jet coefficients, so blocks take fewer rows
+        parts = _run_chunks(
+            chunk_rhs, n_pts, threads, budget=max(1, 3_000_000 // (m + 1))
+        )
         u_jet = np.concatenate([p[0] for p in parts], axis=2)  # (m, d, N)
         xj[n + 1] = u_jet[n].T / (n + 1)
 
         if need_g:
-            m_jet = np.concatenate([p[2] for p in parts], axis=3)  # (m, d, d, N)
+            m_jet = np.concatenate([p[1] for p in parts], axis=3)  # (m, d, d, N)
             m_jet = np.moveaxis(m_jet, 3, 1)  # (m, N, d, d)
             if spec.model == "euler2d":
                 m_jet[0] += 0.5 * state.omega0[:, None, None] * ROT90
@@ -474,18 +453,22 @@ def taylor_step(
     safety: float,
     h_cap: Optional[float] = None,
     threads: int = 1,
+    jets: Optional[TrajectoryJets] = None,
 ) -> tuple[ParticleState, dict]:
     """One adaptive Taylor step: expand, estimate the radius, advance.
 
     The step is safety * min(radius estimate, cap); the expansion is redone
     from scratch at the new time on the next call (analyticity is local).
+    ``jets`` is that expansion at ``state`` (gradient jets included when
+    ``spec.evolve_gradients``) when the caller already has it.
     """
     if not 0.0 < safety < 1.0:
         raise ConfigError("safety must lie in (0, 1)")
     ensure_taylor_model(spec)
-    jets = time_jets_fast(
-        spec, state, order, with_gradients=spec.evolve_gradients, threads=threads
-    )
+    if jets is None:
+        jets = time_jets_fast(
+            spec, state, order, with_gradients=spec.evolve_gradients, threads=threads
+        )
     est = estimate_radius(jets, method="ratio")
     radius = est.aggregate
     if not np.isfinite(radius) and h_cap is None:
@@ -534,17 +517,17 @@ class HolderStats:
 
 
 def _k_nearest_pairs(labels: np.ndarray, k: int) -> np.ndarray:
-    n = len(labels)
-    pairs = []
-    for i0 in range(0, n, max(1, 2_000_000 // max(n, 1))):
-        i1 = min(i0 + max(1, 2_000_000 // max(n, 1)), n)
+    def chunk_fn(rng):
+        i0, i1 = rng
         d2 = np.sum((labels[i0:i1, None, :] - labels[None, :, :]) ** 2, axis=-1)
         rows = np.arange(i0, i1)
         d2[rows - i0, rows] = np.inf
         idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-        for col in range(k):
-            pairs.append(np.stack([rows, idx[:, col]], axis=-1))
-    return np.concatenate(pairs, axis=0)
+        return np.concatenate(
+            [np.stack([rows, idx[:, col]], axis=-1) for col in range(k)]
+        )
+
+    return np.concatenate(_run_chunks(chunk_fn, len(labels)), axis=0)
 
 
 def holder_stats(

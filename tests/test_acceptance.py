@@ -21,9 +21,11 @@ from lagpaths import combinatorics as comb
 from lagpaths.cli import main, run_identity_suite, run_kernel_suite
 from lagpaths.dynamics import (
     chord_arc,
+    evaluate_rhs,
     grad_u_sup,
     incompressibility_residual,
     invariants_euler2d,
+    lambda_accumulate,
     rk4_step,
 )
 from lagpaths.scenarios import (
@@ -43,7 +45,7 @@ from lagpaths.taylor import (
     time_jets_fast,
     time_jets_oracle,
 )
-from lagpaths.jets import Jet, jet_mul
+from lagpaths.jets import Jet
 
 COROTATION_PERIOD = 2.0 * math.pi**2
 
@@ -240,7 +242,7 @@ def test_criterion_6_taylor_stepper():
     step_err = np.max(np.abs(taylor_pos - ref.positions))
     assert step_err < 1e-8
 
-    testbed = ode1d_testbed(lambda g: jet_mul(g, g), 1.0, 20)
+    testbed = ode1d_testbed(lambda g: g * g, 1.0, 20)
     assert np.max(np.abs(testbed.coeffs - 1.0)) < 1e-12
     est = estimate_radius(
         TrajectoryJets(testbed.coeffs[:, None, None], 0.0, "euler2d", None)
@@ -264,13 +266,15 @@ def bump_run():
     stats = holder_stats(state, gamma=0.5)
     _, _, r_paper, _ = paper_radius_bound(stats)
 
-    sups, times = [grad_u_sup(spec, state, threads=2)], [0.0]
+    rhs = evaluate_rhs(spec, state, threads=2)
+    sups, times = [grad_u_sup(rhs[1])], [0.0]
     dt = 0.1
     for _ in range(10):
-        state = rk4_step(spec, state, dt, threads=2)
-        sups.append(grad_u_sup(spec, state, threads=2))
+        state = rk4_step(spec, state, dt, threads=2, rhs0=rhs)
+        rhs = evaluate_rhs(spec, state, threads=2)
+        sups.append(grad_u_sup(rhs[1]))
         times.append(state.t)
-    lam_hat = math.exp(np.trapezoid(np.asarray(sups), x=np.asarray(times)))
+    lam_hat = lambda_accumulate(sups, times)
     lo, hi = chord_arc(state, 4096, seed=0)
     return {
         "det_dev": incompressibility_residual(state),

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from lagpaths import cli, dynamics, taylor
 from lagpaths.cli import (
     DIAG_HEADER,
     RunConfig,
@@ -50,6 +51,108 @@ def test_missing_model_rejected(tmp_path):
 def test_model_scenario_mismatch_rejected(tmp_path):
     path, _ = _write_config(tmp_path, model="sqg")
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+_INLINE = {"field": "gaussian", "amplitude": 1.0, "width": 0.5}
+_GRID = {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8}
+_TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"grid": {"extent": [1, 2], "n_per_axis": 8}},
+        {"grid": {"extent": [["a", "b"], ["c", "d"]], "n_per_axis": 8}},
+        {"grid": {"extent": [[-1, 1], [-1, 1], [-1, 1]], "n_per_axis": 8}},
+        {"scenario": {**_INLINE, "center": "x"}},
+        {"scenario": {**_INLINE, "center": [0.0, "x"]}},
+        {"scenario": {**_INLINE, "amplitude": "big"}},
+        {"integrator": {**_TAYLOR, "taylor_order": True}},
+        {"integrator": {**_TAYLOR, "taylor_order": 2}},
+        {"integrator": {**_TAYLOR, "t_end": float("inf")}},
+        {"diagnostics": {"output_every": True}},
+        {"model": "navier_stokes"},
+    ],
+    ids=[
+        "flat_extent",
+        "string_extent",
+        "extent_dim_mismatch",
+        "string_center",
+        "center_entry",
+        "string_amplitude",
+        "bool_order",
+        "low_order",
+        "infinite_t_end",
+        "bool_output_every",
+        "unknown_model",
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, overrides):
+    cfg = {
+        "model": "sqg",
+        "scenario": _INLINE,
+        "grid": _GRID,
+        "integrator": {**_TAYLOR, "taylor_order": 6},
+        "output": {"directory": str(tmp_path / "out")},
+        **overrides,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["taylor", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_simulate_evaluates_each_state_once(tmp_path, monkeypatch):
+    # 3 diagnosed states whose evaluation doubles as the next step's first
+    # RK4 stage, 3 more stages per step, and the trimmed extent probe
+    calls = _count_calls(monkeypatch, dynamics, "evaluate_rhs")
+    cfg = {
+        "model": "sqg",
+        "scenario": "sqg_bump",
+        "grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 12},
+        "integrator": {"kind": "rk4", "dt": 0.05, "t_end": 0.1},
+        "diagnostics": {"pair_samples": 64, "output_every": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["steps"] == 2
+    assert summary["extent_sensitivity"] is not None
+    assert len(calls) == 3 + 2 * 3 + 1
+
+
+def test_taylor_command_builds_and_expands_once_per_state(tmp_path, monkeypatch):
+    builds = _count_calls(monkeypatch, cli, "build_run")
+    expansions = _count_calls(monkeypatch, taylor, "time_jets_fast")
+    cfg = {
+        "model": "sqg",
+        "scenario": "sqg_bump",
+        "grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8},
+        "integrator": {**_TAYLOR, "t_end": 0.06, "taylor_order": 6},
+        "diagnostics": {"pair_samples": 64, "output_every": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["taylor", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["steps"] >= 3
+    assert len(builds) == 1
+    assert len(expansions) == summary["steps"]
 
 
 def test_bad_integrator_settings_rejected():

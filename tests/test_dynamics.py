@@ -12,7 +12,6 @@ from lagpaths.dynamics import (
     ScalarField,
     chord_arc,
     evaluate_rhs,
-    grad_rhs,
     grad_u_sup,
     identity_grads,
     incompressibility_residual,
@@ -24,7 +23,6 @@ from lagpaths.dynamics import (
     poisson_bracket,
     rk4_step,
     velocity,
-    velocity_gradient,
 )
 from lagpaths.errors import ConfigError, NumericalFailureError
 from lagpaths.scenarios import (
@@ -93,7 +91,7 @@ def test_constant_theta_sqg_symmetries():
     mom = np.einsum("n,n,nk->k", state.weights, state.theta0, u)
     np.testing.assert_allclose(mom, 0.0, atol=1e-12)
     # vanishing data gradient kills the gradient dynamics entirely
-    dg = grad_rhs(ModelSpec("sqg", 0.25), state)
+    dg = evaluate_rhs(ModelSpec("sqg", 0.25), state)[1]
     np.testing.assert_allclose(dg, 0.0)
 
 
@@ -124,7 +122,7 @@ def test_ipm_stratified_is_equilibrium():
     state, spec = ipm_stratified(n_per_axis=24)
     u = velocity(spec, state)
     np.testing.assert_allclose(u, 0.0, atol=1e-14)
-    dg = grad_rhs(spec, state)
+    dg = evaluate_rhs(spec, state)[1]
     np.testing.assert_allclose(dg, 0.0, atol=1e-14)
 
 
@@ -142,7 +140,7 @@ def test_gradient_trace_free_euler2d_grid():
         gamma_data=ScalarField(field.value, None),
     )
     spec = ModelSpec("euler2d", 0.25)
-    dg = grad_rhs(spec, state)
+    dg = evaluate_rhs(spec, state)[1]
     traces = dg[:, 0, 0] + dg[:, 1, 1]
     np.testing.assert_allclose(traces, 0.0, atol=1e-12)
 
@@ -150,7 +148,7 @@ def test_gradient_trace_free_euler2d_grid():
 def test_two_vortex_gradient_local_term():
     state, _ = two_vortex()
     spec = ModelSpec("euler2d", 0.0, evolve_gradients=True)
-    dg = grad_rhs(spec, state)
+    dg = evaluate_rhs(spec, state)[1]
     # at t = 0 (G = I) the antisymmetric part is the half-vorticity rotation
     antisym = 0.5 * (dg[0] - dg[0].T)
     np.testing.assert_allclose(
@@ -249,11 +247,17 @@ def test_chord_arc_flags_coincident_positions():
 
 
 def test_lambda_accumulate():
-    assert lambda_accumulate([0.0, 0.0, 0.0], 0.1) == 1.0
+    assert lambda_accumulate([0.0, 0.0, 0.0], [0.0, 0.1, 0.2]) == 1.0
     c, t_end, steps = 0.7, 2.0, 400
     hist = np.full(steps + 1, c)
+    times = np.linspace(0.0, t_end, steps + 1)
     np.testing.assert_allclose(
-        lambda_accumulate(hist, t_end / steps), math.exp(c * t_end), rtol=1e-12
+        lambda_accumulate(hist, times), math.exp(c * t_end), rtol=1e-12
+    )
+    # a short last step: the spacing is uneven
+    np.testing.assert_allclose(
+        lambda_accumulate([c, c, c], [0.0, 0.1, 0.15]), math.exp(c * 0.15),
+        rtol=1e-12,
     )
 
 
@@ -398,17 +402,31 @@ def test_euler3d_ring_translates_axially():
     assert np.mean(u[core, 2]) > 0.0
     assert abs(np.mean(u[core, 0])) < 1e-12
     assert abs(np.mean(u[core, 1])) < 1e-12
-    dg = grad_rhs(spec, state)
+    dg = evaluate_rhs(spec, state)[1]
     traces = np.trace(dg, axis1=1, axis2=2)
     np.testing.assert_allclose(traces, 0.0, atol=1e-12)
 
 
 def test_grad_u_sup_positive_on_active_flow():
     state, spec = sqg_bump(n_per_axis=16)
-    sup = grad_u_sup(spec, state)
+    gu = evaluate_rhs(spec, state)[1]
+    sup = grad_u_sup(gu)
     assert sup > 0.0
-    gu = velocity_gradient(spec, state)
     assert np.max(operator_norms(gu)) == pytest.approx(sup)
+
+
+def test_grad_u_sup_matches_label_gradient_route():
+    # away from t = 0 (G != I), grad u read off the RHS equals the one
+    # recovered from the label-gradient rate as (dG/dt) G^-1
+    state, spec = sqg_bump(n_per_axis=16)
+    for _ in range(3):
+        state = rk4_step(spec, state, 0.1)
+    assert np.max(np.abs(state.grads - np.eye(2))) > 0.05
+    gu = evaluate_rhs(spec, state)[1]
+    dg = np.einsum("nij,njk->nik", gu, state.grads)
+    recovered = np.einsum("nij,njk->nik", dg, np.linalg.inv(state.grads))
+    expected = float(np.max(operator_norms(recovered)))
+    assert grad_u_sup(gu) == pytest.approx(expected, rel=1e-12)
 
 
 def test_threaded_rhs_bitwise_identical():

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from lagpaths.dynamics import ModelSpec, rk4_step, velocity
+from lagpaths.dynamics import ModelSpec, ScalarField, init_grid, rk4_step, velocity
 from lagpaths.errors import ConfigError
-from lagpaths.jets import Jet, jet_mul
+from lagpaths.jets import Jet
 from lagpaths.scenarios import (
     corotation_closed_form,
+    gaussian_field,
     ipm_bubble,
     seeded_sqg_cloud,
     sqg_bump,
@@ -115,7 +116,7 @@ def test_single_particle_constant_jet():
 
 
 def test_ode1d_testbed_cases():
-    sq = ode1d_testbed(lambda g: jet_mul(g, g), 1.0, 20)
+    sq = ode1d_testbed(lambda g: g * g, 1.0, 20)
     np.testing.assert_allclose(sq.coeffs, np.ones(21), atol=1e-12)
     const = ode1d_testbed(lambda g: Jet(np.eye(1, len(g.coeffs)).ravel()), 2.0, 6)
     np.testing.assert_allclose(const.coeffs, [2.0, 1.0, 0, 0, 0, 0, 0], atol=1e-15)
@@ -134,7 +135,7 @@ def _jets_from_scalar(coeffs) -> "object":
 
 
 def test_estimate_radius_testbed():
-    sq = ode1d_testbed(lambda g: jet_mul(g, g), 1.0, 20)
+    sq = ode1d_testbed(lambda g: g * g, 1.0, 20)
     est = estimate_radius(_jets_from_scalar(sq.coeffs))
     assert abs(est.aggregate_ratio - 1.0) < 0.05
     assert abs(est.aggregate_root - 1.0) < 0.05
@@ -196,7 +197,7 @@ def test_taylor_step_small_safety_first_order():
 
 
 def test_taylor_testbed_step_matches_exact_solution():
-    sq = ode1d_testbed(lambda g: jet_mul(g, g), 1.0, 20)
+    sq = ode1d_testbed(lambda g: g * g, 1.0, 20)
     # truncating the geometric series at order 20 leaves h**21 / (1 - h):
     # at h = 0.3 that is ~1e-11, at h = 0.5 it is ~2e-6 and sets the error
     np.testing.assert_allclose(Jet(sq.coeffs).evaluate(0.3), 1.0 / 0.7, rtol=1e-10)
@@ -228,6 +229,22 @@ def test_ipm_taylor_step_consistent_with_rk4():
 
 def test_sqg_gradient_jets_consistent_with_rk4():
     state, spec = sqg_bump(n_per_axis=12)
+    jets = time_jets_fast(spec, state, order=8, with_gradients=True)
+    h = 0.05
+    ref = state
+    for _ in range(50):
+        ref = rk4_step(spec, ref, h / 50)
+    np.testing.assert_allclose(jets.positions_at(h), ref.positions, atol=1e-9)
+    np.testing.assert_allclose(jets.grads_at(h), ref.grads, atol=1e-8)
+
+
+def test_euler2d_grid_gradient_jets_consistent_with_rk4():
+    # euler2d carries no theta0, so its gradient jets take no bracket terms
+    field = gaussian_field(width=0.4)
+    state = init_grid(
+        ((-1.5, 1.5), (-1.5, 1.5)), 10, gamma_data=ScalarField(field.value, None)
+    )
+    spec = ModelSpec("euler2d", 0.3)
     jets = time_jets_fast(spec, state, order=8, with_gradients=True)
     h = 0.05
     ref = state
