@@ -177,8 +177,8 @@ def run_kernel_suite(
         raise ConfigError("samples must be >= 1")
     if not 0 < max_order <= 6:
         raise ConfigError("max_order must lie in 1..6")
-    if c_k <= 0:
-        raise ConfigError("c_k must be positive")
+    if not (math.isfinite(c_k) and c_k > 0):
+        raise ConfigError("c_k must be positive and finite")
     cases, info = [], []
     pts = kernels.bound_samples(samples, 2, seed=seed)
     for label, build, offset, gauss in KERNEL_BOUND_CHECKS:
@@ -343,7 +343,7 @@ class RunConfig:
                 raise ConfigError("grid needs 'extent' and 'n_per_axis'")
             if grid["n_per_axis"] < 2:
                 raise ConfigError("grid.n_per_axis must be >= 2")
-            dim = 3 if model == "euler3d" else 2
+            dim = dynamics.MODELS[model].dim
             extent = grid["extent"]
             if len(extent) != dim or not all(map(_is_number_pair, extent)):
                 raise ConfigError(
@@ -397,22 +397,13 @@ def build_run(config: RunConfig):
             field = scenarios.stratified_field(**params)
         else:
             raise ConfigError(f"unknown inline field kind {field_kind!r}")
+        label_field = dynamics.MODELS[config.model].label_field
+        if label_field is None:
+            raise ConfigError("inline scenarios cover the 2D models only")
         extent = overrides["extent"]
         n_axis = overrides["n_per_axis"]
         delta = overrides.get("delta", dynamics.default_delta(extent, n_axis))
-        if config.model in ("sqg", "ipm", "boussinesq2d"):
-            kw = {"theta0": field}
-            if config.model == "boussinesq2d":
-                kw["gamma_data"] = dynamics.ScalarField(
-                    lambda a: np.zeros(len(a))
-                )
-            state = dynamics.init_grid(extent, n_axis, **kw)
-        elif config.model == "euler2d":
-            state = dynamics.init_grid(
-                extent, n_axis, gamma_data=dynamics.ScalarField(field.value)
-            )
-        else:
-            raise ConfigError("inline scenarios cover the 2D models only")
+        state = dynamics.init_grid(extent, n_axis, **{label_field: field})
         spec = dynamics.ModelSpec(config.model, delta)
 
     if spec.model != config.model:
@@ -541,19 +532,18 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     grad_u_hist: list[float] = []
     times: list[float] = []
 
-    # the diagnostics need grad u even where G is not evolved; with G
-    # evolved, this evaluation is exactly RK4's first stage at the state
+    # the diagnostics need grad u even where G is not evolved
     diag_spec = dataclasses.replace(spec, evolve_gradients=True)
-    reuse_rhs = kind == "rk4" and spec.evolve_gradients
 
     def diagnose(s):
-        rhs = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
+        u, grad_u, w_dot = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
         rec = _collect_diagnostics(
-            s, spec, rhs[1], grad_u_hist, times, pair_samples, config.seed
+            s, spec, grad_u, grad_u_hist, times, pair_samples, config.seed
         )
         diag_lines.append(diag_row(rec))
         append_state_rows(state_lines, s)
-        return rec, rhs
+        # RK4's first stage at s; u does not depend on grad u being computed
+        return rec, (u, grad_u if spec.evolve_gradients else None, w_dot)
 
     rec, rhs = diagnose(state)
     first = rec
@@ -562,9 +552,7 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     while state.t < t_end - 1e-12:
         if kind == "rk4":
             h = min(dt, t_end - state.t)
-            state = dynamics.rk4_step(
-                spec, state, h, threads=threads, rhs0=rhs if reuse_rhs else None
-            )
+            state = dynamics.rk4_step(spec, state, h, threads=threads, rhs0=rhs)
         else:
             cap = min(dt, t_end - state.t)
             state, _ = taylor.taylor_step(
@@ -766,7 +754,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify-identities":
-            dims = [int(d) for d in args.dims.split(",") if d.strip()]
+            try:
+                dims = [int(d) for d in args.dims.split(",") if d.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--dims must list integers: {exc}") from exc
             report = run_identity_suite(args.max_n, dims)
             text = report.to_json()
             if args.output:

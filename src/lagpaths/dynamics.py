@@ -7,7 +7,8 @@ discretization replaces label integrals by midpoint quadrature over a label
 grid, realizes principal values by omitting the self term, and optionally
 regularizes kernels with the analytic blob factor (1 - exp(-|y|^2/delta^2)).
 
-Velocity densities per model (all sums run over source particles j != i):
+Velocity densities per model, as the ``MODELS`` table gives them (all sums
+run over source particles j != i):
 
 * euler2d      u_i = sum w_j K2(Y_ij) omega0_j
 * sqg          u_i = sum w_j Ksqg(Y_ij) theta0_j
@@ -38,10 +39,6 @@ from .kernels import normalize_model_tag
 TWO_PI = 2.0 * math.pi
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-# models whose velocity needs the label gradient (or the Boussinesq
-# accumulator) as part of the state
-_GRADIENT_COUPLED = ("ipm", "boussinesq2d", "euler3d")
-
 
 @dataclass
 class ScalarField:
@@ -66,8 +63,8 @@ class ModelSpec:
 
     def __post_init__(self):
         self.model = normalize_model_tag(self.model)
-        if self.model in _GRADIENT_COUPLED and not self.evolve_gradients:
-            # these models cannot advance without G (or W)
+        if not MODELS[self.model].closed:
+            # the density moves with G (or W), so G must be evolved
             self.evolve_gradients = True
         if self.regularization_delta < 0:
             raise ConfigError("regularization_delta must be >= 0")
@@ -181,26 +178,72 @@ def poisson_bracket(f_grad, g_grad) -> float | np.ndarray:
 
 
 def _brackets_2d(state: ParticleState) -> tuple[np.ndarray, np.ndarray]:
-    """({theta0, X_1}, {theta0, X_2}) at every particle from G and grad theta0."""
-    if state.grad_theta0 is None or state.grads is None:
-        raise ConfigError("model needs grad_theta0 and evolved gradients")
-    th, G = state.grad_theta0, state.grads
-    return poisson_bracket(th, G[:, 0]), poisson_bracket(th, G[:, 1])
+    """({theta0, X_1}, {theta0, X_2}) at every particle from G and grad theta0.
+
+    G may carry leading jet axes, (..., N, d, d); the brackets then are jets.
+    """
+    th, G = _carried(state, "grad_theta0"), _carried(state, "grads")
+    return poisson_bracket(th, G[..., 0, :]), poisson_bracket(th, G[..., 1, :])
 
 
-def _vorticity_density(spec: ModelSpec, state: ParticleState) -> np.ndarray:
-    """Scalar Lagrangian vorticity carried by each particle (2D kernels)."""
-    if spec.model == "euler2d":
-        dens = state.omega0
-    elif spec.model == "boussinesq2d":
-        dens = state.omega0 + state.boussinesq_w
-    elif spec.model == "ipm":
-        dens = -_brackets_2d(state)[1]
-    else:
-        raise AssertionError(spec.model)
-    if dens is None:
-        raise ConfigError(f"state lacks vorticity data for {spec.model}")
-    return dens
+def _carried(state: ParticleState, name: str) -> np.ndarray:
+    value = getattr(state, name)
+    if value is None:
+        raise ConfigError(f"the model needs {name} data")
+    return value
+
+
+@dataclass(frozen=True)
+class Model:
+    """What sets one model apart: every model moves its particles by
+
+        u_i = sum_j w_j rho_j K(X_i - X_j),
+
+    and the models differ only in the kernel K and the density rho.
+    """
+
+    dim: int
+    # rho is constant in time, so X evolves alone (the X-only Taylor route,
+    # the oracle and the compiled route); other models always evolve G
+    closed: bool
+    taylor: bool  # time-Taylor jets are provided
+    # p in K = y_perp / (2 pi |y|^p): 3 for the SQG perp-Riesz kernel, whose
+    # derivative is not integrable, so grad theta0 is transported instead;
+    # 2 for Biot-Savart, whose gradient is the strain kernel plus rho R / 2
+    radial_power: int
+    label_field: Optional[str]  # init_grid field an inline scalar scenario fills
+    # rho of each particle; linear in G, so it also maps G jets to rho jets
+    # (in 3D the carried Cauchy vorticity G omega0, a vector)
+    density: Callable[[ParticleState], np.ndarray]
+    w_rate: Optional[Callable[[ParticleState], np.ndarray]] = None  # Boussinesq dW/dt
+
+
+MODELS: dict[str, Model] = {
+    "sqg": Model(
+        dim=2, closed=True, taylor=True, radial_power=3, label_field="theta0",
+        density=lambda s: _carried(s, "theta0"),
+    ),
+    "euler2d": Model(
+        dim=2, closed=True, taylor=True, radial_power=2, label_field="gamma_data",
+        density=lambda s: _carried(s, "omega0"),
+    ),
+    "ipm": Model(
+        dim=2, closed=False, taylor=True, radial_power=2, label_field="theta0",
+        density=lambda s: -_brackets_2d(s)[1],
+    ),
+    # omega0 + W; without omega0 data the fluid starts at rest
+    "boussinesq2d": Model(
+        dim=2, closed=False, taylor=False, radial_power=2, label_field="theta0",
+        density=lambda s: (0.0 if s.omega0 is None else s.omega0) + s.boussinesq_w,
+        w_rate=lambda s: _brackets_2d(s)[1],
+    ),
+    "euler3d": Model(
+        dim=3, closed=False, taylor=False, radial_power=3, label_field=None,
+        density=lambda s: np.einsum(
+            "nij,nj->ni", _carried(s, "grads"), _carried(s, "omega0")
+        ),
+    ),
+}
 
 
 def _run_chunks(fn, n: int, threads: int = 1, budget: int = 2_000_000) -> list:
@@ -237,30 +280,22 @@ def evaluate_rhs(
     Returns (u, grad_u, w_dot); grad_u is the Eulerian gradient along the
     path, i.e. the matrix that left-multiplies G in dG/dt = (grad u) G.
     """
-    model = spec.model
+    model = MODELS[spec.model]
     X = state.positions
     w = state.weights
     n = state.n
     delta = spec.regularization_delta
     need_grad = need_grad and spec.evolve_gradients
+    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
 
-    if model == "euler3d":
+    if model.dim == 3:
         u, grad_u = _rhs_euler3d(spec, state, threads, need_grad)
-        w_dot = None
     else:
-        if model == "sqg":
-            dens = state.theta0
-            if dens is None:
-                raise ConfigError("sqg needs theta0 data")
-        else:
-            dens = _vorticity_density(spec, state)
+        dens = model.density(state)
         wd = w * dens
-
-        if need_grad and model == "sqg":
+        if need_grad and transported:
             b1, b2 = _brackets_2d(state)
-            vfield = np.stack([b2, -b1], axis=-1)  # grad theta along the path
-        else:
-            vfield = None
+            wv = w[:, None] * np.stack([b2, -b1], axis=-1)  # grad theta on the path
 
         def chunk_fn(rng):
             i0, i1 = rng
@@ -270,10 +305,10 @@ def evaluate_rhs(
             r2[rows - i0, rows] = 1.0  # mask self term
             _check_separation(r2)
             f = _reg_factor(r2, delta)
-            if model == "sqg":
-                radial = f / (TWO_PI * r2 * np.sqrt(r2))
-            else:
-                radial = f / (TWO_PI * r2)
+            rp = TWO_PI * r2  # 2 pi |y|^p
+            if transported:
+                rp = rp * np.sqrt(r2)
+            radial = f / rp
             kvec = np.empty_like(Y)
             kvec[..., 0] = -Y[..., 1] * radial
             kvec[..., 1] = Y[..., 0] * radial
@@ -281,8 +316,7 @@ def evaluate_rhs(
             u_chunk = np.einsum("j,ijk->ik", wd, kvec)
             g_chunk = None
             if need_grad:
-                if model == "sqg":
-                    wv = w[:, None] * vfield
+                if transported:
                     g_chunk = np.einsum("ijk,jl->ikl", kvec, wv)
                 else:
                     # traceless symmetric strain kernel over r^4, regularized
@@ -303,13 +337,10 @@ def evaluate_rhs(
         grad_u = None
         if need_grad:
             grad_u = np.concatenate([p[1] for p in parts], axis=0)
-            if model != "sqg":
+            if not transported:
                 # local vorticity rotation, half the carried vorticity value
                 grad_u = grad_u + 0.5 * dens[:, None, None] * ROT90
-
-        w_dot = None
-        if model == "boussinesq2d":
-            w_dot = _brackets_2d(state)[1]
+    w_dot = None if model.w_rate is None else model.w_rate(state)
 
     if not np.all(np.isfinite(u)) or (
         grad_u is not None and not np.all(np.isfinite(grad_u))
@@ -319,14 +350,12 @@ def evaluate_rhs(
 
 
 def _rhs_euler3d(spec, state, threads, need_grad):
-    if state.grads is None or state.omega0 is None:
-        raise ConfigError("euler3d needs evolved gradients and vector omega0")
     X = state.positions
     w = state.weights
     delta = spec.regularization_delta
     if delta == 0.0:
         raise ConfigError("euler3d requires a positive regularization delta")
-    wvec = np.einsum("nij,nj->ni", state.grads, state.omega0)  # Cauchy vorticity
+    wvec = MODELS[spec.model].density(state)  # Cauchy vorticity
     ww = w[:, None] * wvec
 
     def chunk_fn(rng):

@@ -29,13 +29,14 @@ import numpy as np
 
 from .combinatorics import mi_factorial, multi_indices_up_to, partitions_by_alpha
 from .dynamics import (
+    MODELS,
     ROT90,
     ModelSpec,
     ParticleState,
+    _brackets_2d,
     _run_chunks,
     evaluate_rhs,
     operator_norms,
-    poisson_bracket,
 )
 from .errors import ConfigError, NumericalFailureError
 from .jets import Jet, kernel_on_jet, mul_coeffs
@@ -77,26 +78,12 @@ def _regularized(spec: ModelSpec, k: KernelExpr) -> KernelExpr:
     return k
 
 
-def _taylor_density(spec: ModelSpec, state: ParticleState) -> np.ndarray:
-    """Constant-in-time velocity density (models with closed X dynamics)."""
-    if spec.model == "sqg":
-        if state.theta0 is None:
-            raise ConfigError("sqg needs theta0 data")
-        return state.theta0
-    if spec.model == "euler2d":
-        if state.omega0 is None:
-            raise ConfigError("euler2d needs omega0 data")
-        return state.omega0
-    raise ConfigError(
-        f"time-Taylor propagation is not provided for model {spec.model!r}"
-    )
-
-
 def ensure_taylor_model(spec: ModelSpec) -> None:
-    if spec.model not in ("sqg", "euler2d", "ipm"):
+    if not MODELS[spec.model].taylor:
+        covered = ", ".join(tag for tag, row in MODELS.items() if row.taylor)
         raise ConfigError(
-            "Taylor stepping covers sqg, euler2d, and ipm; "
-            "boussinesq2d and euler3d use the reference integrator"
+            f"Taylor stepping covers {covered}; {spec.model} uses the reference "
+            "integrator"
         )
 
 
@@ -116,9 +103,10 @@ def time_jets_oracle(
         raise ConfigError(f"oracle order capped at {ORACLE_MAX_ORDER}")
     if state.n > ORACLE_MAX_PARTICLES:
         raise ConfigError(f"oracle particle count capped at {ORACLE_MAX_PARTICLES}")
-    if spec.model not in ("sqg", "euler2d"):
+    model = MODELS[spec.model]
+    if not model.closed:
         raise ConfigError("the oracle route needs a time-independent density")
-    dens = _taylor_density(spec, state)
+    dens = model.density(state)
     expr = _regularized(spec, catalog(spec.model).velocity_kernel)
     d = state.dim
     n_pts = state.n
@@ -190,28 +178,28 @@ def time_jets_fast(
 ) -> TrajectoryJets:
     """Trajectory jets via order-by-order jet propagation through the kernel.
 
-    Gradients are carried when requested (always for ipm, whose velocity
-    density is the evolving bracket {theta0, X_2}).  The X-only 2D path uses
-    the fused compiled kernel when numba is present; pass
-    ``use_compiled=False`` to force the generic route (the two are
-    cross-checked in the test suite).
+    Gradients are carried when requested, and always for models whose
+    density moves with G (ipm: the bracket -{theta0, X_2}).  The X-only path
+    of the models with constant density uses the fused compiled kernel when
+    numba is present; pass ``use_compiled=False`` to force the generic route
+    (the two are cross-checked in the test suite).
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
     ensure_taylor_model(spec)
-    need_g = with_gradients or spec.model == "ipm"
+    model = MODELS[spec.model]
+    need_g = with_gradients or not model.closed
+    w = state.weights
 
-    if use_compiled and not need_g and spec.model in ("sqg", "euler2d"):
+    if use_compiled and not need_g:
         from . import _fastjets
 
         if _fastjets.HAVE_NUMBA:
-            wrho = state.weights * _taylor_density(spec, state)
-            rpow = 3 if spec.model == "sqg" else 2
             xj = _fastjets.propagate_perp_kernel_jets(
                 state.positions,
-                wrho,
+                w * model.density(state),
                 order,
-                rpow,
+                model.radial_power,
                 spec.regularization_delta,
                 threads=threads,
             )
@@ -220,10 +208,10 @@ def time_jets_fast(
             return TrajectoryJets(xj, state.t, spec.model, None)
     d = state.dim
     n_pts = state.n
-    w = state.weights
     entry = catalog(spec.model)
     vel_expr = _regularized(spec, entry.velocity_kernel)
     grad_expr = _regularized(spec, entry.gradient_kernel) if need_g else None
+    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
 
     xj = np.zeros((order + 1, n_pts, d))
     xj[0] = state.positions
@@ -233,67 +221,34 @@ def time_jets_fast(
             raise ConfigError("gradient jets need an evolved-gradient state")
         gj = np.zeros((order + 1, n_pts, d, d))
         gj[0] = state.grads
-
-    if spec.model in ("sqg", "euler2d"):
-        dens_const = state.weights * _taylor_density(spec, state)
-    else:
-        dens_const = None
-    th = state.grad_theta0 if spec.model in ("sqg", "ipm") else None
-    if spec.model in ("sqg", "ipm") and th is None and need_g:
-        raise ConfigError("bracket densities need grad_theta0")
+    rho = model.density(state) if model.closed else None  # constant, (N,)
 
     for n in range(order):
         m = n + 1  # orders carried into the RHS evaluation
         xz = xj[:m]
-        if need_g and th is not None:
-            # {theta0, X_1} and {theta0, X_2} as jets, per source particle
-            b1 = poisson_bracket(th, gj[:m, :, 0])
-            b2 = poisson_bracket(th, gj[:m, :, 1])
+        if need_g:
+            # G jets map to bracket and density jets, (m, N)
+            g_state = state.replace(grads=gj[:m])
+            if not model.closed:
+                rho = model.density(g_state)
+            if transported:
+                b1, b2 = _brackets_2d(g_state)
+                vj = np.stack([b2, -b1], axis=1)  # grad theta jets, (m, 2, N)
 
         def chunk_rhs(rng):
             i0, i1 = rng
             y, mask = _masked_pair_jets(xz, i0, i1)
-            kvals = kernel_on_jet(vel_expr, Jet(y))  # (m, d, rows, N)
-            kv = kvals.coeffs
+            kv = kernel_on_jet(vel_expr, Jet(y)).coeffs  # (m, d, rows, N)
             kv[..., mask] = 0.0
-            if dens_const is not None:
-                u_c = np.einsum("ockj,j->ock", kv, dens_const)
-            else:  # ipm: jet density -{theta0, X_2}_j, weights folded after
-                dens_j = -b2  # (m, N)
-                u_c = np.einsum(
-                    "ockj,j->ock",
-                    np.stack(
-                        [mul_coeffs(kv[:, c], dens_j) for c in range(d)], axis=1
-                    ),
-                    w,
-                )
-            if need_g:
-                kg = kernel_on_jet(grad_expr, Jet(y)).coeffs  # (m, ..., rows, N)
-                kg[..., mask] = 0.0
-                if spec.model == "sqg":
-                    # outer product with the transported-gradient jets
-                    vj = np.stack([b2, -b1], axis=1)  # (m, 2, N)
-                    kg_v = np.empty((m, d, d, i1 - i0, n_pts))
-                    for a in range(d):
-                        for c in range(d):
-                            kg_v[:, a, c] = mul_coeffs(kg[:, a], vj[:, c, None, :])
-                    m_c = np.einsum("oackj,j->oack", kg_v, w)
-                elif spec.model == "euler2d":
-                    m_c = np.einsum("oackj,j->oack", kg, dens_const)
-                else:  # ipm
-                    dens_j = -b2
-                    kg_d = np.stack(
-                        [
-                            np.stack(
-                                [mul_coeffs(kg[:, a, c], dens_j) for c in range(d)],
-                                axis=1,
-                            )
-                            for a in range(d)
-                        ],
-                        axis=1,
-                    )
-                    m_c = np.einsum("oackj,j->oack", kg_d, w)
-            return u_c, m_c if need_g else None
+            u_c = _source_sum(kv, rho, w)
+            if not need_g:
+                return u_c, None
+            kg = kernel_on_jet(grad_expr, Jet(y)).coeffs  # (m, ..., rows, N)
+            kg[..., mask] = 0.0
+            if transported:
+                # outer product with the transported-gradient jets
+                return u_c, _source_sum(kg[:, :, None], vj[:, None, :, None, :], w)
+            return u_c, _source_sum(kg, rho, w)
 
         # every pair carries m jet coefficients, so blocks take fewer rows
         parts = _run_chunks(
@@ -305,11 +260,11 @@ def time_jets_fast(
         if need_g:
             m_jet = np.concatenate([p[1] for p in parts], axis=3)  # (m, d, d, N)
             m_jet = np.moveaxis(m_jet, 3, 1)  # (m, N, d, d)
-            if spec.model == "euler2d":
-                m_jet[0] += 0.5 * state.omega0[:, None, None] * ROT90
-            elif spec.model == "ipm":
-                local = -b2  # vorticity value jets
-                m_jet += 0.5 * local[:, :, None, None] * ROT90
+            if not transported:
+                # local rotation by half the vorticity; a constant is a
+                # one-coefficient jet
+                r = np.atleast_2d(rho)
+                m_jet[: len(r)] += 0.5 * r[:, :, None, None] * ROT90
             g_rhs = np.zeros_like(m_jet)
             for a in range(d):
                 for c in range(d):
@@ -320,6 +275,17 @@ def time_jets_fast(
             gj[n + 1] = g_rhs[n] / (n + 1)
 
     return TrajectoryJets(xj, state.t, spec.model, gj)
+
+
+def _source_sum(k: np.ndarray, rho: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j rho_j k_j over the trailing source axis of the jets k.
+
+    rho is a constant, shape (N,), or a jet, shape (m, ..., N), which
+    multiplies k by Cauchy product.
+    """
+    if rho.ndim == 1:
+        return np.einsum("o...j,j->o...", k, w * rho)
+    return np.einsum("o...j,j->o...", mul_coeffs(k, rho), w)
 
 
 def ode1d_testbed(rhs: Callable[[Jet], Jet], g0: float, order: int) -> Jet:

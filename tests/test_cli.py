@@ -114,25 +114,38 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_simulate_evaluates_each_state_once(tmp_path, monkeypatch):
-    # 3 diagnosed states whose evaluation doubles as the next step's first
-    # RK4 stage, 3 more stages per step, and the trimmed extent probe
-    calls = _count_calls(monkeypatch, dynamics, "evaluate_rhs")
+@pytest.mark.parametrize(
+    "model, scenario, grid, calls",
+    [
+        # 3 diagnosed states whose evaluation doubles as the next step's
+        # first RK4 stage, 3 more stages per step, and the trimmed extent probe
+        ("sqg", "sqg_bump", {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 12},
+         3 + 2 * 3 + 1),
+        # point vortices evolve no G and have no extent probe
+        ("euler2d", "two_vortex", None, 3 + 2 * 3),
+    ],
+    ids=["sqg_bump", "two_vortex"],
+)
+def test_simulate_evaluates_each_state_once(
+    tmp_path, monkeypatch, model, scenario, grid, calls
+):
+    evaluations = _count_calls(monkeypatch, dynamics, "evaluate_rhs")
     cfg = {
-        "model": "sqg",
-        "scenario": "sqg_bump",
-        "grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 12},
+        "model": model,
+        "scenario": scenario,
         "integrator": {"kind": "rk4", "dt": 0.05, "t_end": 0.1},
         "diagnostics": {"pair_samples": 64, "output_every": 1},
         "output": {"directory": str(tmp_path / "out")},
     }
+    if grid is not None:
+        cfg["grid"] = grid
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["steps"] == 2
-    assert summary["extent_sensitivity"] is not None
-    assert len(calls) == 3 + 2 * 3 + 1
+    assert (summary["extent_sensitivity"] is not None) == (grid is not None)
+    assert len(evaluations) == calls
 
 
 def test_taylor_command_builds_and_expands_once_per_state(tmp_path, monkeypatch):
@@ -268,6 +281,7 @@ def test_verify_identities_exit_codes(tmp_path, capsys):
     assert main(["verify-identities", "--max-n", "8"]) == 0
     capsys.readouterr()
     assert main(["verify-identities", "--max-n", "0"]) == 2
+    assert main(["verify-identities", "--dims", "a,b"]) == 2
 
 
 def test_verify_identities_informational_ratio(capsys):
@@ -284,6 +298,9 @@ def test_verify_kernels_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-kernels", "--samples", "0"]) == 2
     assert main(["verify-kernels", "--max-order", "9"]) == 2
+    # with nan**0 == 1 a NaN constant would pass order 0 of every envelope
+    assert main(["verify-kernels", "--ck", "nan"]) == 2
+    assert main(["verify-kernels", "--ck", "inf"]) == 2
 
 
 def test_verify_kernels_fails_with_small_constant(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lagpaths.dynamics import (
+    MODELS,
     ModelSpec,
     ScalarField,
     chord_arc,
@@ -25,6 +26,7 @@ from lagpaths.dynamics import (
     velocity,
 )
 from lagpaths.errors import ConfigError, NumericalFailureError
+from lagpaths.kernels import MODEL_TAGS, catalog
 from lagpaths.scenarios import (
     boussinesq_bubble,
     corotation_closed_form,
@@ -438,3 +440,15 @@ def test_threaded_rhs_bitwise_identical():
     u4, g4, _ = evaluate_rhs(spec, state, threads=4)
     assert np.array_equal(u1, u2) and np.array_equal(u1, u4)
     assert np.array_equal(g1, g2) and np.array_equal(g1, g4)
+
+
+def test_model_table_matches_kernel_catalog():
+    assert tuple(MODELS) == MODEL_TAGS
+    for tag, model in MODELS.items():
+        kernel = catalog(tag).velocity_kernel
+        assert model.dim == kernel.dim, tag
+        rpows = {t.rpow for comp in kernel.comps for t in comp.terms}
+        assert rpows == {model.radial_power}, tag
+        # a density that moves with G (or W) forces G to be evolved
+        spec = ModelSpec(tag, evolve_gradients=False)
+        assert spec.evolve_gradients == (not model.closed), tag

@@ -271,6 +271,17 @@ def test_derivative_bound_fails_with_small_constant():
     assert rep["worst_ratio"] > 1.0
 
 
+def test_derivative_bound_fails_on_non_finite_ratio():
+    # a NaN constant gives a finite order-0 ratio (nan**0 == 1) and NaN
+    # ratios above it, which must not be dropped as smaller than 1
+    samples = bound_samples(50, 2, seed=4)
+    inner, _ = split_gaussian(sqg_velocity_kernel())
+    rep = verify_derivative_bound(inner, math.nan, 2, 2, samples, gaussian_decay=True)
+    assert math.isfinite(rep["worst_ratio_per_order"][0])
+    assert math.isnan(rep["worst_ratio"])
+    assert not rep["passed"]
+
+
 def test_regularize_bounded_at_origin():
     reg = regularize(biot_savart_2d_kernel(), 0.1)
     ts = np.array([1e-3, 1e-4, 1e-5])

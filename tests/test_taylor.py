@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from lagpaths.dynamics import ModelSpec, ScalarField, init_grid, rk4_step, velocity
+from lagpaths.dynamics import (
+    MODELS,
+    ModelSpec,
+    ScalarField,
+    init_grid,
+    rk4_step,
+    velocity,
+)
 from lagpaths.errors import ConfigError
 from lagpaths.jets import Jet
 from lagpaths.scenarios import (
@@ -274,6 +281,33 @@ def test_compiled_jets_match_generic_route():
     j1 = time_jets_fast(spec, state, 8, threads=1)
     j2 = time_jets_fast(spec, state, 8, threads=2)
     assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
+
+
+@pytest.mark.parametrize("scenario", [seeded_sqg_cloud, two_vortex])
+def test_compiled_recurrence_as_python_matches_generic_route(scenario):
+    # the compiled route's recurrence run as plain Python, with or without
+    # numba: p = 3 regularized (SQG cloud), p = 2 unregularized (vortices)
+    from lagpaths import _fastjets
+
+    state, spec = scenario()
+    model = MODELS[spec.model]
+    order = 8
+    xj = np.zeros((order + 1, state.n, 2))
+    xj[0] = state.positions
+    delta = spec.regularization_delta
+    inv_d2 = 0.0 if delta == 0.0 else 1.0 / (delta * delta)
+    propagate = getattr(_fastjets._propagate, "py_func", _fastjets._propagate)
+    propagate(
+        xj,
+        state.weights * model.density(state),
+        1.0 / (2.0 * math.pi),
+        model.radial_power / 2.0,
+        inv_d2,
+        order,
+    )
+    generic = time_jets_fast(spec, state, order, use_compiled=False)
+    scale = np.max(np.abs(generic.x_coeffs), axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(xj - generic.x_coeffs) / scale) < 1e-12
 
 
 def test_gradient_jets_threaded_bitwise_identical():

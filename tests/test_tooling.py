@@ -14,10 +14,15 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_tracer_targets_resolve():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = _load_tracer()
     missing = []
     for target in tracer.TARGETS:
         module, *path = target.split(".")
@@ -27,3 +32,10 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append(target)
     assert not missing, missing
+
+
+def test_tracer_rhs_labels_cover_every_model():
+    # the traced run reports evaluate_rhs per model under these labels
+    from lagpaths.dynamics import MODELS
+
+    assert _load_tracer().LABELS["dynamics.evaluate_rhs"] == tuple(MODELS)
