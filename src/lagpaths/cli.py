@@ -604,7 +604,7 @@ def _extent_sensitivity(state, spec, u_full, threads) -> Optional[float]:
     """Relative change of the fastest particle's speed when the outermost
     label shell is dropped: a direct measure of domain-truncation error.
     ``u_full`` is the velocity of the whole state."""
-    if state.n < 16 or state.theta0 is None:
+    if state.n < 16:
         return None
     lo = state.labels.min(axis=0)
     hi = state.labels.max(axis=0)

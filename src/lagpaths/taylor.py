@@ -7,7 +7,8 @@ Two independent routes produce the same trajectory jets:
   the current displacements.  Cost grows with the partition sets, so order
   and particle count are capped.
 * ``time_jets_fast``: propagates jets order by order through the kernel with
-  Cauchy-product arithmetic; reaches order ~25 and large particle counts.
+  Cauchy-product arithmetic, one new coefficient per pair and order
+  (``jets.KernelStream``); reaches order ~25 and large particle counts.
 
 Their agreement is the package's main cross-validation of the combinatorial
 layer against plain power-series calculus.
@@ -39,12 +40,16 @@ from .dynamics import (
     operator_norms,
 )
 from .errors import ConfigError, NumericalFailureError
-from .jets import Jet, kernel_on_jet, mul_coeffs
+from .jets import Jet, KernelStream, mul_step
 from .kernels import KernelExpr, catalog, regularize
 
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
 FAST_MAX_ORDER = 25
+# time_jets_fast: pairs per row block, and the bytes of pair-jet history
+# the blocks of one expansion may keep across orders
+JET_BLOCK_PAIRS = 2**15
+JET_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -158,9 +163,8 @@ def time_jets_oracle(
 
 def _masked_pair_jets(xj: np.ndarray, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
     """Displacement jets for rows [i0:i1) with self pairs made evaluable."""
-    # xj: (orders, N, d) -> (orders, d, rows, N)
-    y = xj[:, i0:i1, None, :] - xj[:, None, :, :]
-    y = np.moveaxis(y, 3, 1)
+    xt = np.ascontiguousarray(np.moveaxis(xj, 2, 1))  # (orders, d, N)
+    y = xt[:, :, i0:i1, None] - xt[:, :, None, :]  # (orders, d, rows, N)
     rows = np.arange(i0, i1)
     mask = np.zeros(y.shape[2:], dtype=bool)
     mask[rows - i0, rows] = True
@@ -183,6 +187,10 @@ def time_jets_fast(
     of the models with constant density uses the fused compiled kernel when
     numba is present; pass ``use_compiled=False`` to force the generic route
     (the two are cross-checked in the test suite).
+
+    The generic route streams each row block's pair jets (see README, "Jet
+    routes"); only coefficient n of each pair sum and of G' = (grad u) G is
+    formed at order n.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
@@ -209,83 +217,94 @@ def time_jets_fast(
     d = state.dim
     n_pts = state.n
     entry = catalog(spec.model)
-    vel_expr = _regularized(spec, entry.velocity_kernel)
-    grad_expr = _regularized(spec, entry.gradient_kernel) if need_g else None
+    comps = _regularized(spec, entry.velocity_kernel).comps
+    if need_g:
+        comps += _regularized(spec, entry.gradient_kernel).comps
     transported = model.radial_power == 3  # grad theta0 rides along (SQG)
+    # a pair sum that multiplies the kernel by a jet reads its history
+    keep = need_g and (transported or not model.closed)
+    # fixed row blocks of equal size, about JET_BLOCK_PAIRS pairs each
+    rows = -(-n_pts // -(-n_pts * n_pts // JET_BLOCK_PAIRS))
+    # blocks whose histories fit the budget keep their stream across
+    # orders; the rest rebuild it from coefficient 0 at every order
+    layout = KernelStream(comps)
+    per_pair = layout.histories + (len(layout.unique) if keep else 0)
+    cached_rows = JET_CACHE_BYTES // (8 * per_pair * max(order, 1) * n_pts)
+    blocks: dict = {}
 
     xj = np.zeros((order + 1, n_pts, d))
     xj[0] = state.positions
-    gj = None
+    gj = m_hist = None
     if need_g:
         if state.grads is None:
             raise ConfigError("gradient jets need an evolved-gradient state")
         gj = np.zeros((order + 1, n_pts, d, d))
         gj[0] = state.grads
+        m_hist = np.zeros((order, n_pts, d, d))  # jets of M = grad u; G' = M G
     rho = model.density(state) if model.closed else None  # constant, (N,)
 
     for n in range(order):
-        m = n + 1  # orders carried into the RHS evaluation
-        xz = xj[:m]
         if need_g:
-            # G jets map to bracket and density jets, (m, N)
-            g_state = state.replace(grads=gj[:m])
+            # G jets map to bracket and density jets, (n + 1, N)
+            g_state = state.replace(grads=gj[: n + 1])
             if not model.closed:
                 rho = model.density(g_state)
             if transported:
                 b1, b2 = _brackets_2d(g_state)
-                vj = np.stack([b2, -b1], axis=1)  # grad theta jets, (m, 2, N)
+                vj = np.stack([b2, -b1], axis=1)  # grad theta jets, (n + 1, 2, N)
 
         def chunk_rhs(rng):
             i0, i1 = rng
-            y, mask = _masked_pair_jets(xz, i0, i1)
-            kv = kernel_on_jet(vel_expr, Jet(y)).coeffs  # (m, d, rows, N)
-            kv[..., mask] = 0.0
-            u_c = _source_sum(kv, rho, w)
+            y, mask = _masked_pair_jets(xj[: n + 1], i0, i1)
+            if rng in blocks:
+                stream, kept = blocks[rng]
+            else:
+                stream, kept = KernelStream(comps), []
+                if i1 <= cached_rows:
+                    blocks[rng] = stream, kept
+            while stream.n <= n:
+                k = stream.push(y)  # (unique, rows, N)
+                k[..., mask] = 0.0
+                if keep:
+                    kept.append(k)
+            del y  # the pair sums below need only the kernel jets
+            # coefficient n of sum_j w_j rho_j k_j
+            if rho.ndim == 1:
+                s = np.einsum("...j,j->...", k, w * rho)
+            else:
+                s = np.einsum("...j,j->...", mul_step(kept, rho, n), w)
+            s = stream.expand(s)
             if not need_g:
-                return u_c, None
-            kg = kernel_on_jet(grad_expr, Jet(y)).coeffs  # (m, ..., rows, N)
-            kg[..., mask] = 0.0
+                return s, None
             if transported:
                 # outer product with the transported-gradient jets
-                return u_c, _source_sum(kg[:, :, None], vj[:, None, :, None, :], w)
-            return u_c, _source_sum(kg, rho, w)
+                v = mul_step([h[:, None] for h in kept], vj[:, None, :, None, :], n)
+                return s[:d], stream.expand(np.einsum("...j,j->...", v, w))[d:]
+            return s[:d], s[d:].reshape(d, d, -1)
 
-        # every pair carries m jet coefficients, so blocks take fewer rows
-        parts = _run_chunks(
-            chunk_rhs, n_pts, threads, budget=max(1, 3_000_000 // (m + 1))
-        )
-        u_jet = np.concatenate([p[0] for p in parts], axis=2)  # (m, d, N)
-        xj[n + 1] = u_jet[n].T / (n + 1)
+        parts = _run_chunks(chunk_rhs, n_pts, threads, budget=rows * n_pts)
+        u_n = np.concatenate([p[0] for p in parts], axis=1)  # (d, N)
+        xj[n + 1] = u_n.T / (n + 1)
 
         if need_g:
-            m_jet = np.concatenate([p[1] for p in parts], axis=3)  # (m, d, d, N)
-            m_jet = np.moveaxis(m_jet, 3, 1)  # (m, N, d, d)
+            m_n = np.moveaxis(np.concatenate([p[1] for p in parts], axis=2), 2, 0)
             if not transported:
                 # local rotation by half the vorticity; a constant is a
                 # one-coefficient jet
                 r = np.atleast_2d(rho)
-                m_jet[: len(r)] += 0.5 * r[:, :, None, None] * ROT90
-            g_rhs = np.zeros_like(m_jet)
+                if n < len(r):
+                    m_n += 0.5 * r[n][:, None, None] * ROT90
+            m_hist[n] = m_n
+            g_n = np.zeros((n_pts, d, d))
             for a in range(d):
                 for c in range(d):
-                    acc = np.zeros((m, n_pts))
+                    acc = np.zeros(n_pts)
                     for k in range(d):
-                        acc += mul_coeffs(m_jet[:, :, a, k], gj[:m, :, k, c])
-                    g_rhs[:, :, a, c] = acc
-            gj[n + 1] = g_rhs[n] / (n + 1)
+                        acc += mul_step(m_hist[:, :, a, k], gj[:, :, k, c], n)
+                    g_n[:, a, c] = acc
+            gj[n + 1] = g_n / (n + 1)
 
     return TrajectoryJets(xj, state.t, spec.model, gj)
-
-
-def _source_sum(k: np.ndarray, rho: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j rho_j k_j over the trailing source axis of the jets k.
-
-    rho is a constant, shape (N,), or a jet, shape (m, ..., N), which
-    multiplies k by Cauchy product.
-    """
-    if rho.ndim == 1:
-        return np.einsum("o...j,j->o...", k, w * rho)
-    return np.einsum("o...j,j->o...", mul_coeffs(k, rho), w)
 
 
 def ode1d_testbed(rhs: Callable[[Jet], Jet], g0: float, order: int) -> Jet:
@@ -316,6 +335,40 @@ class RadiusEstimate:
         return self.aggregate_ratio if self.method == "ratio" else self.aggregate_root
 
 
+_TINY = 1e-300
+
+
+def _or_inf(x: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(x), np.inf, x)
+
+
+def _tail_estimates(seqs: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio- and root-test radius of each column of seqs, NaN where none.
+
+    The ratio estimate is the median of c_n / c_(n+1) over n in [half,
+    order); the root estimate is 1 / max c_n**(1/n) over n >= half.
+    Coefficients below the column's double-precision noise floor carry no
+    tail information (rotating solutions produce exact zeros in single
+    components) and are left out.
+    """
+    order = seqs.shape[0] - 1
+    floor = seqs.max(axis=0) * 1e-14 + _TINY
+    num, den = seqs[half:order], seqs[half + 1 :]
+    valid = (num > floor) & (den > floor)
+    cols = np.arange(seqs.shape[1])
+    k = valid.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.sort(np.where(valid, num / den, np.inf), axis=0)
+        mid, low = q[k // 2, cols], q[np.maximum(k - 1, 0) // 2, cols]
+        # np.median's operations: the middle entry, or the mean of the two
+        ratio = np.where(k % 2 == 1, mid, (low + mid) / 2.0)
+        tail = seqs[half:]
+        nz = tail > floor
+        roots = tail ** (1.0 / np.arange(half, order + 1))[:, None]
+        root = 1.0 / np.max(np.where(nz, roots, -np.inf), axis=0)
+    return np.where(k > 0, ratio, np.nan), np.where(np.any(nz, axis=0), root, np.nan)
+
+
 def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstimate:
     """Ratio- and root-test radius estimates from the top half of the orders."""
     if method not in ("ratio", "root"):
@@ -323,55 +376,31 @@ def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstima
     order = jets.order
     if order < 4:
         raise ConfigError("radius estimation needs order >= 4")
-    mags = np.abs(jets.x_coeffs)  # (order+1, N, d)
-    tiny = 1e-300
+    n_pts, d = jets.n_particles, jets.x_coeffs.shape[2]
     half = order // 2
-    n_idx = np.arange(half, order)
-
-    ratio_pp = np.full(jets.n_particles, np.inf)
-    root_pp = np.full(jets.n_particles, np.inf)
-    growing_flags = []
     norms = np.linalg.norm(jets.x_coeffs, axis=2)  # (order+1, N)
-
-    def seq_estimates(seq: np.ndarray) -> tuple[Optional[float], Optional[float]]:
-        # coefficients below the double-precision noise floor of the
-        # sequence carry no tail information (rotating solutions produce
-        # exact zeros in single components) and are excluded
-        floor = seq.max() * 1e-14 + tiny
-        num, den = seq[n_idx], seq[n_idx + 1]
-        valid = (num > floor) & (den > floor)
-        ratio = float(np.median(num[valid] / den[valid])) if np.any(valid) else None
-        tail = seq[half:]
-        nz = tail > floor
-        root = None
-        if np.any(nz):
-            exps = np.arange(half, order + 1)[nz]
-            root = float(1.0 / np.max(tail[nz] ** (1.0 / exps)))
-        return ratio, root
-
-    for i in range(jets.n_particles):
-        comp_ratio, comp_root = [], []
-        for c in range(mags.shape[2]):
-            ratio, root = seq_estimates(mags[:, i, c])
-            if ratio is not None:
-                comp_ratio.append(ratio)
-            if root is not None:
-                comp_root.append(root)
-        if not comp_ratio:  # all components oscillate through zeros
-            ratio, root = seq_estimates(norms[:, i])
-            comp_ratio = [ratio] if ratio is not None else []
-            comp_root = comp_root or ([root] if root is not None else [])
-        if comp_ratio:
-            ratio_pp[i] = min(comp_ratio)
-        if comp_root:
-            root_pp[i] = min(comp_root)
-        # growth diagnostic on the smooth vector-norm ratio sequence
-        if order > 10:
-            nseq = norms[:, i]
-            if np.all(nseq[half + 1 :] > tiny):
-                nr = nseq[half:-1] / nseq[half + 1 :]
-                if len(nr) >= 3:
-                    growing_flags.append(bool(np.all(np.diff(nr) > 0)))
+    comp_ratio, comp_root = _tail_estimates(
+        np.abs(jets.x_coeffs).reshape(order + 1, -1), half
+    )
+    comp_ratio = comp_ratio.reshape(n_pts, d)
+    comp_root = comp_root.reshape(n_pts, d)
+    norm_ratio, norm_root = _tail_estimates(norms, half)
+    # a particle whose components all oscillate through zeros falls back on
+    # the vector norm (and on its root estimate when no component has one)
+    has_ratio = ~np.all(np.isnan(comp_ratio), axis=1)
+    has_root = ~np.all(np.isnan(comp_root), axis=1)
+    ratio_pp = np.where(
+        has_ratio, np.min(_or_inf(comp_ratio), axis=1), _or_inf(norm_ratio)
+    )
+    root_pp = np.where(
+        has_ratio | has_root, np.min(_or_inf(comp_root), axis=1), _or_inf(norm_root)
+    )
+    # growth diagnostic on the smooth vector-norm ratio sequences
+    growing_flags = np.zeros(0, dtype=bool)
+    if order > 10:
+        live = norms[:, np.all(norms[half + 1 :] > _TINY, axis=0)]
+        nr = live[half:-1] / live[half + 1 :]
+        growing_flags = np.all(np.diff(nr, axis=0) > 0, axis=0)
 
     degenerate = bool(np.all(np.isinf(ratio_pp)))
     return RadiusEstimate(
@@ -381,7 +410,7 @@ def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstima
         aggregate_root=float(np.min(root_pp)),
         method=method,
         degenerate=degenerate,
-        growing=bool(growing_flags and all(growing_flags)),
+        growing=bool(growing_flags.size and growing_flags.all()),
     )
 
 

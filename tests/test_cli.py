@@ -344,6 +344,35 @@ def test_inline_scenario_gaussian_euler2d(tmp_path):
     assert summary["lambda"] > 1.0
 
 
+@pytest.mark.parametrize(
+    "scenario, grid",
+    [
+        (_INLINE, {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 12}),
+        ("vortex_pair", None),  # n < 16: no outer shell to drop
+    ],
+    ids=["inline_grid", "vortex_pair"],
+)
+def test_extent_probe_covers_euler2d(tmp_path, scenario, grid):
+    cfg = {
+        "model": "euler2d",
+        "scenario": scenario,
+        "integrator": {"kind": "rk4", "dt": 0.05, "t_end": 0.05},
+        "diagnostics": {"pair_samples": 64, "output_every": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    if grid is not None:
+        cfg["grid"] = grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    probe = summary["extent_sensitivity"]
+    if grid is None:
+        assert probe is None
+    else:
+        assert math.isfinite(probe) and probe > 0
+
+
 def test_inline_scenario_unknown_key_rejected(tmp_path):
     cfg = {
         "model": "euler2d",

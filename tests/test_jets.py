@@ -22,19 +22,25 @@ from lagpaths.combinatorics import (
 from lagpaths.errors import SingularEvaluationError
 from lagpaths.jets import (
     Jet,
+    KernelStream,
+    exp_coeffs,
     jet_exp,
     jet_norm_sq,
     jet_pow_real,
     kernel_on_jet,
+    mul_coeffs,
+    pow_coeffs,
 )
 from lagpaths.kernels import (
     KernelExpr,
     KernelTerm,
     ScalarKernel,
+    biot_savart_2d_kernel,
     catalog,
     regularize,
     split_gaussian,
     sqg_velocity_kernel,
+    strain_2d_kernel,
 )
 
 
@@ -232,6 +238,120 @@ def test_kernel_on_jet_batched_matches_single():
         np.testing.assert_allclose(
             out_b.coeffs[..., m], kernel_on_jet(expr, j).coeffs, atol=1e-14
         )
+
+
+def _full_jet_kernel(expr, y):
+    """Every order at once through mul_coeffs, pow_coeffs and exp_coeffs."""
+    nsq = jet_norm_sq(y).coeffs
+    n1 = y.coeffs.shape[0]
+    comp_out = []
+    for comp in expr.comps:
+        total = np.zeros(nsq.shape)
+        for t in comp.terms:
+            val = np.zeros(nsq.shape)
+            val[0] = t.coeff_float()
+            for i, e in enumerate(t.mono):
+                for _ in range(e):
+                    val = mul_coeffs(val, y.coeffs[:, i])
+            if t.rpow:
+                val = mul_coeffs(val, pow_coeffs(nsq, -t.rpow / 2.0))
+            if t.grate:
+                val = mul_coeffs(val, exp_coeffs(-float(t.grate) * nsq))
+            total += val
+        comp_out.append(total)
+    stacked = np.stack(comp_out, axis=1)
+    return stacked.reshape((n1,) + expr.shape + nsq.shape[1:])
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_kernel_stream_bitwise_equals_full_jet_evaluation(batch):
+    # shared stages, sign-folded twins and deduplicated components must not
+    # move a single bit: the taylor route's outputs are byte-compared
+    rng = np.random.default_rng(31)
+    exprs = [
+        regularize(sqg_velocity_kernel(), 0.125),
+        regularize(strain_2d_kernel(), 0.3),
+        catalog("euler3d").gradient_kernel,
+        regularize(biot_savart_2d_kernel(), 0.5).derive_multi((1, 2)),
+        split_gaussian(sqg_velocity_kernel())[1],
+    ]
+    for expr in exprs:
+        for order in (0, 1, 7):
+            coeffs = rng.normal(size=(order + 1, expr.dim) + batch)
+            coeffs[0, 0] += 2.0
+            got = kernel_on_jet(expr, Jet(coeffs)).coeffs
+            want = _full_jet_kernel(expr, Jet(coeffs))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_stream_evaluates_equal_components_once():
+    # the strain matrix is [[e11, e12], [e12, -e11]]
+    strain = KernelStream(regularize(strain_2d_kernel(), 0.5).comps)
+    assert len(strain.unique) == 2
+    assert strain.slots == ((0, 1.0), (1, 1.0), (1, 1.0), (0, -1.0))
+    # SQG transports grad theta0 with the velocity kernel itself
+    sqg = regularize(sqg_velocity_kernel(), 0.5)
+    stream = KernelStream(sqg.comps + sqg.comps)
+    assert len(stream.unique) == 2
+    # |y|^2, |y|^-3, the Gaussian and the two pre-Gaussian stages y_perp |y|^-3
+    assert stream.histories == 5
+
+
+_QUARTERS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))
+
+
+def _sympy_kernel_series(numer, p, delta, path, order):
+    """Coefficients of numer(y) |y|^-p (1 - exp(-|y|^2 / delta^2)) / (2 pi)
+    along the polynomial path y(t), by sympy's exact power-series ring."""
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_exp, rs_mul, rs_nth_root, rs_pow
+    from sympy.polys.rings import ring
+
+    _, t = ring("t", QQ)
+    prec = order + 1
+    ys = [sum(QQ(c.numerator, c.denominator) * t**k for k, c in enumerate(axis))
+          for axis in path]
+    r2 = ys[0] ** 2 + ys[1] ** 2
+    r20 = r2.coeff(1)
+    rate = QQ(1) / QQ(Fraction(delta) ** 2)
+    radial = rs_pow(rs_nth_root(r2 / r20, 2, t, prec), -p, t, prec)  # (r2/r20)^(-p/2)
+    a = rs_mul(numer(*ys), radial, t, prec)
+    b = rs_mul(a, rs_exp(-rate * (r2 - r20), t, prec), t, prec)
+    gauss0 = math.exp(-float(rate) * float(r20))
+    scale = float(r20) ** (-p / 2.0) / (2.0 * math.pi)
+    return np.array([
+        scale * (float(a.get((n,), 0)) - gauss0 * float(b.get((n,), 0)))
+        for n in range(prec)
+    ])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.integers(1, 6),
+    base=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+    tail=st.lists(st.tuples(_QUARTERS, _QUARTERS), min_size=6, max_size=6),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_kernel_on_jet_matches_sympy_series(order, base, tail, delta):
+    """Third oracle: closed-form kernels composed with polynomial paths."""
+    path = [[Fraction(b, 2)] + [c[i] for c in tail[:order]] for i, b in enumerate(base)]
+    y = Jet(np.array(path, dtype=float).T)
+    cases = [
+        (sqg_velocity_kernel(), 3, [lambda y1, y2: -y2, lambda y1, y2: y1]),
+        (biot_savart_2d_kernel(), 2, [lambda y1, y2: -y2, lambda y1, y2: y1]),
+        (strain_2d_kernel(), 4, [
+            lambda y1, y2: 2 * y1 * y2, lambda y1, y2: y2**2 - y1**2,
+            lambda y1, y2: y2**2 - y1**2, lambda y1, y2: -2 * y1 * y2,
+        ]),
+    ]
+    for expr, p, numers in cases:
+        got = kernel_on_jet(regularize(expr, delta), y).coeffs.reshape(order + 1, -1)
+        for flat, numer in enumerate(numers):
+            want = _sympy_kernel_series(numer, p, delta, path, order)
+            np.testing.assert_allclose(
+                got[:, flat], want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want))
+            )
 
 
 def test_derivative_shift():

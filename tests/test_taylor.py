@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lagpaths import taylor
 from lagpaths.dynamics import (
     MODELS,
     ModelSpec,
@@ -27,6 +28,7 @@ from lagpaths.scenarios import (
 )
 from lagpaths.taylor import (
     HolderStats,
+    TrajectoryJets,
     estimate_radius,
     fit_cauchy,
     holder_stats,
@@ -318,6 +320,105 @@ def test_gradient_jets_threaded_bitwise_identical():
     j2 = time_jets_fast(spec, state, 4, with_gradients=True, threads=2)
     assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
     assert np.array_equal(j1.g_coeffs, j2.g_coeffs)
+
+
+def test_ipm_gradient_jets_threaded_bitwise_identical():
+    # the density-jet route: 24^2 particles split into several pair blocks
+    state, spec = ipm_bubble(n_per_axis=24)
+    j1 = time_jets_fast(spec, state, 4, with_gradients=True, threads=1)
+    j2 = time_jets_fast(spec, state, 4, with_gradients=True, threads=2)
+    assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
+    assert np.array_equal(j1.g_coeffs, j2.g_coeffs)
+
+
+@pytest.mark.parametrize(
+    "scenario, order",
+    [(lambda: sqg_bump(n_per_axis=16), 8), (lambda: ipm_bubble(n_per_axis=12), 6)],
+    ids=["sqg_bump", "ipm_bubble"],
+)
+def test_cached_and_rebuilt_pair_blocks_bitwise_equal(monkeypatch, scenario, order):
+    state, spec = scenario()
+    cached = time_jets_fast(spec, state, order, with_gradients=True, threads=2)
+    monkeypatch.setattr(taylor, "JET_CACHE_BYTES", 0)  # every block rebuilds
+    rebuilt = time_jets_fast(spec, state, order, with_gradients=True, threads=2)
+    assert cached.x_coeffs.tobytes() == rebuilt.x_coeffs.tobytes()
+    assert cached.g_coeffs.tobytes() == rebuilt.g_coeffs.tobytes()
+
+
+def _radius_per_particle_loop(jets):
+    """estimate_radius's per-particle loop before it was vectorized."""
+    order = jets.order
+    mags = np.abs(jets.x_coeffs)
+    tiny = 1e-300
+    half = order // 2
+    n_idx = np.arange(half, order)
+    ratio_pp = np.full(jets.n_particles, np.inf)
+    root_pp = np.full(jets.n_particles, np.inf)
+    growing_flags = []
+    norms = np.linalg.norm(jets.x_coeffs, axis=2)
+
+    def seq_estimates(seq):
+        floor = seq.max() * 1e-14 + tiny
+        num, den = seq[n_idx], seq[n_idx + 1]
+        valid = (num > floor) & (den > floor)
+        ratio = float(np.median(num[valid] / den[valid])) if np.any(valid) else None
+        tail = seq[half:]
+        nz = tail > floor
+        root = None
+        if np.any(nz):
+            exps = np.arange(half, order + 1)[nz]
+            root = float(1.0 / np.max(tail[nz] ** (1.0 / exps)))
+        return ratio, root
+
+    for i in range(jets.n_particles):
+        comp_ratio, comp_root = [], []
+        for c in range(mags.shape[2]):
+            ratio, root = seq_estimates(mags[:, i, c])
+            if ratio is not None:
+                comp_ratio.append(ratio)
+            if root is not None:
+                comp_root.append(root)
+        if not comp_ratio:
+            ratio, root = seq_estimates(norms[:, i])
+            comp_ratio = [ratio] if ratio is not None else []
+            comp_root = comp_root or ([root] if root is not None else [])
+        if comp_ratio:
+            ratio_pp[i] = min(comp_ratio)
+        if comp_root:
+            root_pp[i] = min(comp_root)
+        if order > 10:
+            nseq = norms[:, i]
+            if np.all(nseq[half + 1 :] > tiny):
+                nr = nseq[half:-1] / nseq[half + 1 :]
+                if len(nr) >= 3:
+                    growing_flags.append(bool(np.all(np.diff(nr) > 0)))
+    return ratio_pp, root_pp, bool(growing_flags and all(growing_flags))
+
+
+@pytest.mark.parametrize("order", [5, 8, 12])
+@pytest.mark.parametrize(
+    "scenario",
+    [two_vortex, lambda: sqg_bump(n_per_axis=12)],
+    ids=["two_vortex", "sqg_bump"],
+)
+def test_estimate_radius_matches_per_particle_loop(scenario, order):
+    # two_vortex has exact zeros in single components (the fallback paths)
+    state, spec = scenario()
+    jets = time_jets_fast(spec, state, order)
+    ratio, root, growing = _radius_per_particle_loop(jets)
+    est = estimate_radius(jets)
+    assert est.per_particle_ratio.tobytes() == ratio.tobytes()
+    assert est.per_particle_root.tobytes() == root.tobytes()
+    assert est.growing == growing
+
+
+def test_estimate_radius_flags_growth_like_per_particle_loop():
+    # ratio estimates c_n / c_(n+1) that rise with n flag growth
+    n = np.arange(13)
+    g = np.exp(0.3 * n - 0.01 * n**2)
+    grow = TrajectoryJets(np.tile(g[:, None, None], (1, 3, 2)), 0.0, "sqg")
+    assert _radius_per_particle_loop(grow)[2]
+    assert estimate_radius(grow).growing
 
 
 def test_holder_stats_basics():
