@@ -264,6 +264,10 @@ _INLINE_SCHEMA = {
 
 _REQUIRED = ("model", "scenario", "integrator", "output")
 
+# a larger grid is refused before init_grid allocates it; the pairwise sums
+# cost O(N^2) per evaluation, so no run near this size finishes anyway
+MAX_PARTICLES = 2**20
+
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
     for key, value in data.items():
@@ -281,14 +285,23 @@ def _check_keys(data: dict, schema: dict, path: str = "") -> None:
         # no key takes a flag, and bool would pass as an int
         if isinstance(value, bool) or not isinstance(value, expected):
             raise ConfigError(f"{path + key!r} has the wrong type")
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (int, float)) and not _is_finite_number(value):
             raise ConfigError(f"{path + key!r} must be finite")
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float, not a bool, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_number_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in value
+        map(_is_finite_number, value)
     )
 
 
@@ -341,9 +354,13 @@ class RunConfig:
         if grid is not None:
             if "extent" not in grid or "n_per_axis" not in grid:
                 raise ConfigError("grid needs 'extent' and 'n_per_axis'")
-            if grid["n_per_axis"] < 2:
-                raise ConfigError("grid.n_per_axis must be >= 2")
             dim = dynamics.MODELS[model].dim
+            n_axis = grid["n_per_axis"]
+            if n_axis < 2 or n_axis**dim > MAX_PARTICLES:
+                raise ConfigError(
+                    f"grid.n_per_axis must be >= 2 and give {model} at most "
+                    f"{MAX_PARTICLES} particles"
+                )
             extent = grid["extent"]
             if len(extent) != dim or not all(map(_is_number_pair, extent)):
                 raise ConfigError(
@@ -355,6 +372,12 @@ class RunConfig:
         delta = raw.get("regularization_delta")
         if delta is not None and delta < 0:
             raise ConfigError("regularization_delta must be >= 0")
+        directory = raw["output"].get("directory")
+        if not directory or "\0" in directory:
+            raise ConfigError("output.directory must be a non-empty path")
+        seed = raw.get("seed", 0)
+        if seed < 0:  # np.random.default_rng takes no negative seed
+            raise ConfigError("seed must be >= 0")
         return RunConfig(
             model=model,
             scenario=raw["scenario"],
@@ -362,8 +385,8 @@ class RunConfig:
             regularization_delta=delta,
             integrator=integ,
             diagnostics=diag,
-            output_dir=Path(raw["output"]["directory"]),
-            seed=int(raw.get("seed", 0)),
+            output_dir=Path(directory),
+            seed=seed,
         )
 
 
@@ -378,6 +401,12 @@ def build_run(config: RunConfig):
 
     if isinstance(config.scenario, str):
         name = config.scenario
+        built = scenarios.SCENARIO_MODELS.get(name, config.model)
+        if built != config.model:
+            raise ConfigError(
+                f"config model {config.model!r} does not match scenario model "
+                f"{built!r}"
+            )
         if name in ("two_vortex", "vortex_pair"):
             state, spec = scenarios.build_scenario(name)
         else:
@@ -405,12 +434,6 @@ def build_run(config: RunConfig):
         delta = overrides.get("delta", dynamics.default_delta(extent, n_axis))
         state = dynamics.init_grid(extent, n_axis, **{label_field: field})
         spec = dynamics.ModelSpec(config.model, delta)
-
-    if spec.model != config.model:
-        raise ConfigError(
-            f"config model {config.model!r} does not match scenario model "
-            f"{spec.model!r}"
-        )
     return state, spec
 
 
@@ -483,13 +506,13 @@ def _is_point_vortex(state: dynamics.ParticleState, spec: dynamics.ModelSpec):
 
 
 def _collect_diagnostics(
-    state, spec, grad_u, grad_u_hist, times, pair_samples, seed
+    state, spec, grad_u, grad_u_hist, times, pair_samples, seed, neighbors
 ) -> dynamics.DiagnosticsRecord:
     sup = dynamics.grad_u_sup(grad_u)
     grad_u_hist.append(sup)
     times.append(state.t)
     lam = dynamics.lambda_accumulate(grad_u_hist, times)
-    lo, hi = dynamics.chord_arc(state, pair_samples, seed=seed)
+    lo, hi = dynamics.chord_arc(state, pair_samples, seed=seed, neighbors=neighbors)
     det_dev = (
         dynamics.incompressibility_residual(state)
         if spec.evolve_gradients and state.grads is not None
@@ -516,7 +539,8 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     """RK4 (or Taylor) time loop with periodic diagnostics and snapshots.
 
     ``run`` is ``build_run(config)``; ``jets``, the Taylor expansion at its
-    initial state, saves the first Taylor step from expanding again.
+    initial state, saves the first Taylor step from expanding again.  Writes
+    state.csv and diagnostics.csv into ``config.output_dir``, which must exist.
     """
     state, spec = run
     integ = config.integrator
@@ -534,11 +558,13 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
 
     # the diagnostics need grad u even where G is not evolved
     diag_spec = dataclasses.replace(spec, evolve_gradients=True)
+    # labels never move: one neighbor search serves every chord-arc sample
+    neighbors = dynamics.nearest_neighbor_pairs(state.labels)
 
     def diagnose(s):
         u, grad_u, w_dot = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
         rec = _collect_diagnostics(
-            s, spec, grad_u, grad_u_hist, times, pair_samples, config.seed
+            s, spec, grad_u, grad_u_hist, times, pair_samples, config.seed, neighbors
         )
         diag_lines.append(diag_row(rec))
         append_state_rows(state_lines, s)
@@ -593,10 +619,8 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
         "extent_sensitivity": _extent_sensitivity(state, spec, rhs[0], threads),
     }
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "state.csv").write_text("\n".join(state_lines) + "\n")
-    (out / "diagnostics.csv").write_text("\n".join(diag_lines) + "\n")
+    _write_output(config.output_dir / "state.csv", state_lines)
+    _write_output(config.output_dir / "diagnostics.csv", diag_lines)
     return summary
 
 
@@ -683,8 +707,10 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     return summary, lines, jets
 
 
-def run_radius_bound(config: RunConfig) -> dict:
-    state, _spec = build_run(config)
+def run_radius_bound(config: RunConfig, run: tuple) -> dict:
+    """Holder statistics and the explicit radius bound; ``run`` is
+    ``build_run(config)``."""
+    state, _spec = run
     if state.theta0 is None or state.grad_theta0 is None:
         raise ConfigError("radius bound needs scalar data (theta0) scenarios")
     stats = taylor.holder_stats(state, gamma=0.5, seed=config.seed)
@@ -711,6 +737,32 @@ def run_radius_bound(config: RunConfig) -> dict:
 # -- command line ----------------------------------------------------------------
 
 
+def _make_output_dir(directory: Path) -> None:
+    """Create an output directory before any compute, so that an unusable
+    path fails at once, not after the run."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {directory}: {exc}") from exc
+
+
+def _write_output(path: Path, lines: list[str]) -> None:
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
+
 def _load_config(path: str) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -727,7 +779,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         description="Lagrangian-path laboratory for inviscid fluid models",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for pairwise sums"
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="worker threads for pairwise sums (at least 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -753,55 +808,46 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify-identities":
-            try:
-                dims = [int(d) for d in args.dims.split(",") if d.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"--dims must list integers: {exc}") from exc
-            report = run_identity_suite(args.max_n, dims)
+        if args.command in ("verify-identities", "verify-kernels"):
+            if args.output:
+                _make_output_dir(Path(args.output).parent)
+            if args.command == "verify-identities":
+                try:
+                    dims = [int(d) for d in args.dims.split(",") if d.strip()]
+                except ValueError as exc:
+                    raise ConfigError(f"--dims must list integers: {exc}") from exc
+                report = run_identity_suite(args.max_n, dims)
+            else:
+                report = run_kernel_suite(
+                    args.ck, args.max_order, args.samples, args.seed
+                )
             text = report.to_json()
             if args.output:
-                Path(args.output).write_text(text + "\n")
+                _write_output(Path(args.output), [text])
             else:
                 print(text)
             return 0 if report.all_passed() else 1
-        if args.command == "verify-kernels":
-            report = run_kernel_suite(args.ck, args.max_order, args.samples, args.seed)
-            text = report.to_json()
-            if args.output:
-                Path(args.output).write_text(text + "\n")
-            else:
-                print(text)
-            return 0 if report.all_passed() else 1
-        if args.command == "simulate":
-            config = _load_config(args.config)
-            summary = run_simulation(config, build_run(config), threads=args.threads)
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(summary, indent=2, sort_keys=True)
-            (config.output_dir / "summary.json").write_text(text + "\n")
-            print(text)
-            return 0
-        if args.command == "taylor":
+        if args.command in ("simulate", "taylor", "radius-bound"):
             config = _load_config(args.config)
             run = build_run(config)
-            summary, order_lines, jets = run_taylor_analysis(
-                config, run, threads=args.threads
-            )
-            summary.update(run_simulation(config, run, threads=args.threads, jets=jets))
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            (config.output_dir / "orders.csv").write_text(
-                "\n".join(order_lines) + "\n"
-            )
+            _make_output_dir(config.output_dir)
+            if args.command == "simulate":
+                summary = run_simulation(config, run, threads=args.threads)
+                name = "summary.json"
+            elif args.command == "taylor":
+                summary, order_lines, jets = run_taylor_analysis(
+                    config, run, threads=args.threads
+                )
+                summary.update(
+                    run_simulation(config, run, threads=args.threads, jets=jets)
+                )
+                _write_output(config.output_dir / "orders.csv", order_lines)
+                name = "summary.json"
+            else:
+                summary = run_radius_bound(config, run)
+                name = "radius_bound.json"
             text = json.dumps(summary, indent=2, sort_keys=True)
-            (config.output_dir / "summary.json").write_text(text + "\n")
-            print(text)
-            return 0
-        if args.command == "radius-bound":
-            config = _load_config(args.config)
-            payload = run_radius_bound(config)
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(payload, indent=2, sort_keys=True)
-            (config.output_dir / "radius_bound.json").write_text(text + "\n")
+            _write_output(config.output_dir / name, [text])
             print(text)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")

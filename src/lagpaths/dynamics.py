@@ -246,17 +246,23 @@ MODELS: dict[str, Model] = {
 }
 
 
-def _run_chunks(fn, n: int, threads: int = 1, budget: int = 2_000_000) -> list:
+# pairs per block of a pairwise sum: each array of a block takes 256 KiB,
+# and a run of a few hundred particles has a block for every thread
+PAIR_BLOCK = 2**15
+
+
+def _run_chunks(fn, n: int, threads: int = 1, budget: Optional[int] = None) -> list:
     """fn over row blocks (i0, i1) of an n-row pairwise sum, in row order.
 
-    Each block has about budget / n rows, so the boundaries (and with them
-    the summation order) depend on n and budget only, never on threads.
+    Each block has about budget (default ``PAIR_BLOCK``) / n rows, so the
+    boundaries depend on n and budget only, never on threads.
     """
-    rows = max(1, min(n, budget // max(n, 1)))
+    rows = max(1, min(n, (budget or PAIR_BLOCK) // max(n, 1)))
     chunks = [(s, min(s + rows, n)) for s in range(0, n, rows)]
-    if threads <= 1 or len(chunks) == 1:
+    workers = min(threads, len(chunks))
+    if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -266,10 +272,35 @@ def _reg_factor(r2: np.ndarray, delta: float) -> np.ndarray | float:
     return -np.expm1(-r2 / (delta * delta))
 
 
-def _check_separation(r2: np.ndarray) -> None:
-    # diagonal entries were already lifted; any other zero is a collision
-    if np.any(r2 == 0.0):
+def _pair_block(cols, i0: int, i1: int):
+    """Displacements X_i - X_j from every source j to the target rows i0:i1.
+
+    Source-major: component k is a C-contiguous (sources, rows) array with
+    Y[k][j, i - i0] = X[i, k] - X[j, k].  Returns the components, |y|^2 with
+    the self pairs lifted to 1, and the index of the self pairs.
+    """
+    Y = [x[None, i0:i1] - x[:, None] for x in cols]
+    # y0^2 + y1^2, and (y0^2 + y2^2) + y1^2 in 3D: the einsum kernels' order
+    r2 = Y[0] * Y[0]
+    for y in Y[:0:-1]:
+        r2 += y * y
+    self_pairs = (np.arange(i0, i1), np.arange(i1 - i0))
+    r2[self_pairs] = 1.0
+    # with the self pairs lifted, any zero is a collision
+    if not r2.all():
         raise NumericalFailureError("coincident particles in pairwise sum")
+    return Y, r2, self_pairs
+
+
+def _source_dot(a, b, scratch: np.ndarray) -> np.ndarray:
+    """sum_j a[j, i] b[j, i] for each target row i, adding the sources in
+    index order; ``scratch`` is a (sources, rows) array for the products.
+
+    numpy adds a 2-D block down its columns one source at a time, but sums
+    a one-column block as a contiguous vector, pairwise; cumsum never does.
+    """
+    p = np.multiply(a, b, out=scratch)
+    return p.sum(axis=0) if p.shape[1] > 1 else np.cumsum(p, axis=0)[-1]
 
 
 def evaluate_rhs(
@@ -281,9 +312,7 @@ def evaluate_rhs(
     path, i.e. the matrix that left-multiplies G in dG/dt = (grad u) G.
     """
     model = MODELS[spec.model]
-    X = state.positions
     w = state.weights
-    n = state.n
     delta = spec.regularization_delta
     need_grad = need_grad and spec.evolve_gradients
     transported = model.radial_power == 3  # grad theta0 rides along (SQG)
@@ -291,48 +320,41 @@ def evaluate_rhs(
     if model.dim == 3:
         u, grad_u = _rhs_euler3d(spec, state, threads, need_grad)
     else:
+        cols = list(state.positions.T)
         dens = model.density(state)
-        wd = w * dens
+        wd = (w * dens)[:, None]
         if need_grad and transported:
             b1, b2 = _brackets_2d(state)
-            wv = w[:, None] * np.stack([b2, -b1], axis=-1)  # grad theta on the path
+            wv = ((w * b2)[:, None], (w * -b1)[:, None])  # grad theta on the path
 
         def chunk_fn(rng):
-            i0, i1 = rng
-            Y = X[i0:i1, None, :] - X[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", Y, Y)
-            rows = np.arange(i0, i1)
-            r2[rows - i0, rows] = 1.0  # mask self term
-            _check_separation(r2)
+            (y0, y1), r2, self_pairs = _pair_block(cols, *rng)
             f = _reg_factor(r2, delta)
             rp = TWO_PI * r2  # 2 pi |y|^p
             if transported:
                 rp = rp * np.sqrt(r2)
             radial = f / rp
-            kvec = np.empty_like(Y)
-            kvec[..., 0] = -Y[..., 1] * radial
-            kvec[..., 1] = Y[..., 0] * radial
-            kvec[rows - i0, rows] = 0.0
-            u_chunk = np.einsum("j,ijk->ik", wd, kvec)
-            g_chunk = None
-            if need_grad:
-                if transported:
-                    g_chunk = np.einsum("ijk,jl->ikl", kvec, wv)
-                else:
-                    # traceless symmetric strain kernel over r^4, regularized
-                    s = f / (TWO_PI * r2 * r2)
-                    e11 = 2.0 * Y[..., 0] * Y[..., 1] * s
-                    e12 = (Y[..., 1] ** 2 - Y[..., 0] ** 2) * s
-                    kmat = np.empty(Y.shape[:2] + (2, 2))
-                    kmat[..., 0, 0] = e11
-                    kmat[..., 0, 1] = e12
-                    kmat[..., 1, 0] = e12
-                    kmat[..., 1, 1] = -e11
-                    kmat[rows - i0, rows] = 0.0
-                    g_chunk = np.einsum("j,ijkl->ikl", wd, kmat)
-            return u_chunk, g_chunk
+            k = (-y1 * radial, y0 * radial)
+            for c in k:
+                c[self_pairs] = 0.0
+            tmp = np.empty_like(r2)
+            u_chunk = np.stack([_source_dot(wd, c, tmp) for c in k], axis=-1)
+            if not need_grad:
+                return u_chunk, None
+            if transported:
+                g = [_source_dot(v, c, tmp) for c in k for v in wv]
+            else:
+                # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
+                # over r^4, regularized
+                s = f / (TWO_PI * r2 * r2)
+                e11 = 2.0 * y0 * y1 * s
+                e12 = (y1**2 - y0**2) * s
+                e11[self_pairs] = e12[self_pairs] = 0.0
+                a, b = _source_dot(wd, e11, tmp), _source_dot(wd, e12, tmp)
+                g = [a, b, b, -a]
+            return u_chunk, np.stack(g, axis=-1).reshape(-1, 2, 2)
 
-        parts = _run_chunks(chunk_fn, n, threads)
+        parts = _run_chunks(chunk_fn, state.n, threads)
         u = np.concatenate([p[0] for p in parts], axis=0)
         grad_u = None
         if need_grad:
@@ -350,36 +372,40 @@ def evaluate_rhs(
 
 
 def _rhs_euler3d(spec, state, threads, need_grad):
-    X = state.positions
-    w = state.weights
+    cols = list(state.positions.T)
     delta = spec.regularization_delta
     if delta == 0.0:
         raise ConfigError("euler3d requires a positive regularization delta")
     wvec = MODELS[spec.model].density(state)  # Cauchy vorticity
-    ww = w[:, None] * wvec
+    ww = [c[:, None] for c in (state.weights[:, None] * wvec).T]
 
     def chunk_fn(rng):
-        i0, i1 = rng
-        Y = X[i0:i1, None, :] - X[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", Y, Y)
-        rows = np.arange(i0, i1)
-        r2[rows - i0, rows] = 1.0
-        _check_separation(r2)
+        Y, r2, self_pairs = _pair_block(cols, *rng)
         f = _reg_factor(r2, delta)
-        inv_r3 = f / (4.0 * math.pi * r2 * np.sqrt(r2))
-        cross = np.cross(np.broadcast_to(ww[None, :, :], Y.shape), Y)
-        cross[rows - i0, rows] = 0.0
-        u_chunk = np.einsum("ijk,ij->ik", cross, inv_r3)
-        g_chunk = None
-        if need_grad:
-            s = 3.0 * f / (8.0 * math.pi * r2 * r2 * np.sqrt(r2))
-            zxw = -cross  # (Y x omega_j), weights already folded in
-            # contract the pair axis with the radial factor in one pass, so
-            # the (rows, sources, 3, 3) outer product is never materialized
-            g_chunk = np.einsum("ij,ijk,ijl->ikl", s, zxw, Y) + np.einsum(
-                "ij,ijk,ijl->ikl", s, Y, zxw
-            )
-        return u_chunk, g_chunk
+        r = np.sqrt(r2)
+        inv_r3 = f / (4.0 * math.pi * r2 * r)
+        # (w_j omega_j) x Y_ij, component by component as np.cross forms it
+        cross = [
+            ww[(k + 1) % 3] * Y[(k + 2) % 3] - ww[(k + 2) % 3] * Y[(k + 1) % 3]
+            for k in range(3)
+        ]
+        for c in cross:
+            c[self_pairs] = 0.0
+        tmp = np.empty_like(r2)
+        u_chunk = np.stack([_source_dot(c, inv_r3, tmp) for c in cross], axis=-1)
+        if not need_grad:
+            return u_chunk, None
+        s = 3.0 * f / (8.0 * math.pi * r2 * r2 * r)
+        zxw = [-c for c in cross]  # (Y x omega_j), weights already folded in
+        sz = [s * z for z in zxw]
+        sy = [s * y for y in Y]
+        # s (zxw Y^T + Y zxw^T), each product formed as (s a) b
+        g = [
+            _source_dot(sz[k], Y[m], tmp) + _source_dot(sy[k], zxw[m], tmp)
+            for k in range(3)
+            for m in range(3)
+        ]
+        return u_chunk, np.stack(g, axis=-1).reshape(-1, 3, 3)
 
     parts = _run_chunks(chunk_fn, state.n, threads)
     u = np.concatenate([p[0] for p in parts], axis=0)
@@ -498,13 +524,22 @@ def nearest_neighbor_pairs(labels: np.ndarray) -> np.ndarray:
 
 
 def chord_arc(
-    state: ParticleState, sample_pairs: int = 2048, seed: int = 0
+    state: ParticleState,
+    sample_pairs: int = 2048,
+    seed: int = 0,
+    neighbors: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
-    """Extremes of |a_i - a_j| / |X_i - X_j| over sampled and neighbor pairs."""
+    """Extremes of |a_i - a_j| / |X_i - X_j| over sampled and neighbor pairs.
+
+    ``neighbors`` is ``nearest_neighbor_pairs(state.labels)`` when the caller
+    already has it; labels do not move, so one search serves a whole run.
+    """
     n = state.n
     if n < 2:
         raise ConfigError("chord-arc needs at least 2 particles")
-    pairs = [nearest_neighbor_pairs(state.labels)]
+    if neighbors is None:
+        neighbors = nearest_neighbor_pairs(state.labels)
+    pairs = [neighbors]
     if sample_pairs > 0:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=sample_pairs)

@@ -184,6 +184,18 @@ SCENARIOS = {
     "euler3d_ring": euler3d_ring,
 }
 
+# the model each scenario builds, known before it is built: a grid sized for
+# one model's dimension breaks another model's builder
+SCENARIO_MODELS = {
+    "two_vortex": "euler2d",
+    "vortex_pair": "euler2d",
+    "sqg_bump": "sqg",
+    "ipm_stratified": "ipm",
+    "ipm_bubble": "ipm",
+    "boussinesq_bubble": "boussinesq2d",
+    "euler3d_ring": "euler3d",
+}
+
 
 def build_scenario(name: str, **overrides):
     if name not in SCENARIOS:

@@ -522,7 +522,9 @@ def _k_nearest_pairs(labels: np.ndarray, k: int) -> np.ndarray:
             [np.stack([rows, idx[:, col]], axis=-1) for col in range(k)]
         )
 
-    return np.concatenate(_run_chunks(chunk_fn, len(labels)), axis=0)
+    # the pair order follows the block boundaries, so the blocks keep their size
+    blocks = _run_chunks(chunk_fn, len(labels), budget=2_000_000)
+    return np.concatenate(blocks, axis=0)
 
 
 def holder_stats(

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lagpaths import cli, dynamics, taylor
+from lagpaths import cli, dynamics, scenarios, taylor
 from lagpaths.cli import (
     DIAG_HEADER,
     RunConfig,
@@ -53,6 +56,26 @@ def test_model_scenario_mismatch_rejected(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_grid_for_another_model_rejected_before_building():
+    # a 2D grid reached the 3D ring builder (IndexError), a 3D grid the 2D
+    # builders (broadcast ValueError), before the model check ran
+    for model, scenario, extent in (
+        ("sqg", "euler3d_ring", [[-1, 1], [-1, 1]]),
+        ("euler3d", "sqg_bump", [[-1, 1], [-1, 1], [-1, 1]]),
+    ):
+        config = RunConfig.from_dict(
+            {
+                "model": model,
+                "scenario": scenario,
+                "grid": {"extent": extent, "n_per_axis": 3},
+                "integrator": {"kind": "rk4", "dt": 0.1, "t_end": 0.1},
+                "output": {"directory": "out"},
+            }
+        )
+        with pytest.raises(ConfigError, match="does not match"):
+            cli.build_run(config)
+
+
 _INLINE = {"field": "gaussian", "amplitude": 1.0, "width": 0.5}
 _GRID = {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8}
 _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
@@ -72,6 +95,11 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         {"integrator": {**_TAYLOR, "t_end": float("inf")}},
         {"diagnostics": {"output_every": True}},
         {"model": "navier_stokes"},
+        {"seed": -1},
+        {"scenario": {**_INLINE, "amplitude": 10**400}},
+        {"grid": {**_GRID, "n_per_axis": 10**6}},
+        {"output": {}},
+        {"output": {"directory": ""}},
     ],
     ids=[
         "flat_extent",
@@ -85,6 +113,11 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         "infinite_t_end",
         "bool_output_every",
         "unknown_model",
+        "negative_seed",
+        "int_beyond_float",
+        "grid_too_large",
+        "no_directory",
+        "empty_directory",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, overrides):
@@ -421,3 +454,185 @@ def test_boussinesq_scenario_runs(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["det_dev"] < 1e-4
     assert math.isfinite(summary["lambda"])
+
+
+def test_simulate_finds_label_neighbors_once(tmp_path, monkeypatch):
+    searches = _count_calls(monkeypatch, dynamics, "nearest_neighbor_pairs")
+    cfg = {
+        "model": "sqg",
+        "scenario": "sqg_bump",
+        "grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8},
+        "integrator": {"kind": "rk4", "dt": 0.05, "t_end": 0.15},
+        "diagnostics": {"pair_samples": 64, "output_every": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4  # four diagnosed states share one search
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "taylor", "radius-bound"])
+def test_unusable_output_directory_exits_2_before_compute(
+    tmp_path, monkeypatch, command
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    calls = _count_calls(monkeypatch, dynamics, "evaluate_rhs")
+    holder = _count_calls(monkeypatch, taylor, "holder_stats")
+    cfg = {
+        "model": "sqg",
+        "scenario": "sqg_bump",
+        "grid": _GRID,
+        "integrator": {**_TAYLOR, "taylor_order": 6},
+        "output": {"directory": str(blocker / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert calls == [] and holder == []
+
+
+@pytest.mark.parametrize("command", ["verify-identities", "verify-kernels"])
+def test_unusable_report_path_exits_2(tmp_path, monkeypatch, command, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    identities = command == "verify-identities"
+    suite = "run_identity_suite" if identities else "run_kernel_suite"
+    runs = _count_calls(monkeypatch, cli, suite)
+    # the parent is a file: refused before the suite runs
+    assert main([command, "--output", str(blocker / "r.json")]) == 2
+    assert runs == []
+    # the path is a directory: the write fails after the suite
+    small = ["--max-n", "3"] if identities else ["--samples", "40", "--max-order", "2"]
+    assert main([command, *small, "--output", str(tmp_path)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    # a missing parent directory is created
+    report = tmp_path / "new" / "r.json"
+    assert main([command, *small, "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_exit_2(threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "verify-identities", "--max-n", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+# -- RunConfig.from_dict and build_run under fuzzed input -------------------------
+
+# junk never holds a large int that could size a grid; 10**400 and 2**64
+# probe the float and int64 ranges, 10**6 the grid cap
+_NUMBER = (
+    st.integers(-3, 12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([10**400, -(10**400), 2**64, 10**6])
+)
+_JUNK = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_SIZE = st.floats(0.01, 2.0)
+_VALID = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(list(dynamics.MODELS) + ["2D-Euler"]),
+        "scenario": st.sampled_from(list(scenarios.SCENARIOS))
+        | st.fixed_dictionaries(
+            {},
+            optional={
+                "field": st.sampled_from(["gaussian", "stratified"]),
+                "amplitude": _SIZE,
+                "width": _SIZE,
+                "center": st.lists(_SIZE, min_size=2, max_size=2),
+            },
+        ),
+        "integrator": st.fixed_dictionaries(
+            {"dt": _SIZE, "t_end": _SIZE},
+            optional={
+                "kind": st.sampled_from(["rk4", "taylor"]),
+                "taylor_order": st.integers(4, 12),
+                "safety": st.floats(0.1, 0.9),
+            },
+        ),
+        "output": st.fixed_dictionaries({"directory": st.just("out")}),
+    },
+    optional={
+        "grid": st.fixed_dictionaries(
+            {
+                "extent": st.lists(
+                    st.tuples(st.floats(-3.0, -0.5), st.floats(0.5, 3.0)).map(list),
+                    min_size=2,
+                    max_size=3,
+                ),
+                "n_per_axis": st.integers(2, 6),
+            }
+        ),
+        "regularization_delta": st.floats(0.0, 1.0),
+        "diagnostics": st.fixed_dictionaries(
+            {},
+            optional={
+                "pair_samples": st.integers(0, 64),
+                "output_every": st.integers(1, 3),
+            },
+        ),
+        "seed": st.integers(0, 2**32),
+    },
+)
+
+
+def _key_paths(value, prefix=()):
+    """The key path of every entry of nested mappings."""
+    paths = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths.append(prefix + (key,))
+            paths += _key_paths(item, prefix + (key,))
+    return paths
+
+
+@st.composite
+def _configs(draw):
+    """A valid configuration with up to three entries replaced by junk,
+    dropped, or joined by an unknown key."""
+    cfg = draw(_VALID)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(_key_paths(cfg)))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["junk", "drop", "extra"]))
+        if action == "junk":
+            parent[path[-1]] = draw(_JUNK)
+        elif action == "drop":
+            del parent[path[-1]]
+        else:
+            parent[draw(st.text(max_size=6))] = draw(_JUNK)
+    return cfg
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(raw=_configs() | _JUNK)
+def test_fuzzed_config_gives_run_or_config_error(raw):
+    with np.errstate(all="ignore"):
+        try:
+            cli.build_run(RunConfig.from_dict(raw))
+        except ConfigError:
+            pass
+
+
+def test_scenario_model_table_matches_builders():
+    assert set(scenarios.SCENARIO_MODELS) == set(scenarios.SCENARIOS)
+    for name, model in scenarios.SCENARIO_MODELS.items():
+        small = {} if name in ("two_vortex", "vortex_pair") else {"n_per_axis": 3}
+        _, spec = scenarios.build_scenario(name, **small)
+        assert spec.model == model, name

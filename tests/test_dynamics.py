@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from lagpaths import dynamics
 from lagpaths.dynamics import (
     MODELS,
+    ROT90,
     ModelSpec,
     ScalarField,
     chord_arc,
@@ -452,3 +454,140 @@ def test_model_table_matches_kernel_catalog():
         # a density that moves with G (or W) forces G to be evolved
         spec = ModelSpec(tag, evolve_gradients=False)
         assert spec.evolve_gradients == (not model.closed), tag
+
+
+# -- source-major pair blocks against the einsum kernels they replaced ---------
+
+
+def _einsum_rhs(spec, state, need_grad):
+    """The row-major einsum kernels of ``evaluate_rhs`` before the pair sums
+    moved to source-major blocks, kept as the bitwise reference.  With the
+    2e6-pair budget they used, the test states below are one block."""
+    model = MODELS[spec.model]
+    X, w, delta = state.positions, state.weights, spec.regularization_delta
+    need_grad = need_grad and spec.evolve_gradients
+    n = state.n
+    Y = X[:, None, :] - X[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", Y, Y)
+    rows = np.arange(n)
+    r2[rows, rows] = 1.0
+    assert not np.any(r2 == 0.0)
+    f = 1.0 if delta == 0.0 else -np.expm1(-r2 / (delta * delta))
+    grad_u = None
+    if model.dim == 3:
+        wvec = model.density(state)
+        ww = w[:, None] * wvec
+        inv_r3 = f / (4.0 * math.pi * r2 * np.sqrt(r2))
+        cross = np.cross(np.broadcast_to(ww[None, :, :], Y.shape), Y)
+        cross[rows, rows] = 0.0
+        u = np.einsum("ijk,ij->ik", cross, inv_r3)
+        if need_grad:
+            s = 3.0 * f / (8.0 * math.pi * r2 * r2 * np.sqrt(r2))
+            zxw = -cross
+            grad_u = np.einsum("ij,ijk,ijl->ikl", s, zxw, Y) + np.einsum(
+                "ij,ijk,ijl->ikl", s, Y, zxw
+            )
+            rot = np.zeros((n, 3, 3))
+            rot[:, 0, 1], rot[:, 0, 2] = -wvec[:, 2], wvec[:, 1]
+            rot[:, 1, 0], rot[:, 1, 2] = wvec[:, 2], -wvec[:, 0]
+            rot[:, 2, 0], rot[:, 2, 1] = -wvec[:, 1], wvec[:, 0]
+            grad_u = grad_u + 0.5 * rot
+        return u, grad_u
+    transported = model.radial_power == 3
+    dens = model.density(state)
+    wd = w * dens
+    rp = TWO_PI * r2
+    if transported:
+        rp = rp * np.sqrt(r2)
+    radial = f / rp
+    kvec = np.empty_like(Y)
+    kvec[..., 0] = -Y[..., 1] * radial
+    kvec[..., 1] = Y[..., 0] * radial
+    kvec[rows, rows] = 0.0
+    u = np.einsum("j,ijk->ik", wd, kvec)
+    if need_grad:
+        if transported:
+            th, G = state.grad_theta0, state.grads
+            b1 = poisson_bracket(th, G[:, 0, :])
+            b2 = poisson_bracket(th, G[:, 1, :])
+            wv = w[:, None] * np.stack([b2, -b1], axis=-1)
+            grad_u = np.einsum("ijk,jl->ikl", kvec, wv)
+        else:
+            s = f / (TWO_PI * r2 * r2)
+            e11 = 2.0 * Y[..., 0] * Y[..., 1] * s
+            e12 = (Y[..., 1] ** 2 - Y[..., 0] ** 2) * s
+            kmat = np.empty(Y.shape[:2] + (2, 2))
+            kmat[..., 0, 0] = e11
+            kmat[..., 0, 1] = e12
+            kmat[..., 1, 0] = e12
+            kmat[..., 1, 1] = -e11
+            kmat[rows, rows] = 0.0
+            grad_u = np.einsum("j,ijkl->ikl", wd, kmat)
+            grad_u = grad_u + 0.5 * dens[:, None, None] * ROT90
+    return u, grad_u
+
+
+def _euler2d_grid(n_per_axis, delta):
+    state = init_grid(
+        ((-2.0, 2.0), (-2.0, 2.0)), n_per_axis, gamma_data=gaussian_field(1.0, 0.6)
+    )
+    return state, ModelSpec("euler2d", delta)
+
+
+_BLOCK_CASES = {
+    "sqg": lambda: sqg_bump(n_per_axis=10),
+    "euler2d": lambda: _euler2d_grid(10, 0.8),
+    "ipm": lambda: ipm_bubble(n_per_axis=10),
+    "boussinesq2d": lambda: boussinesq_bubble(n_per_axis=10),
+    "euler3d": lambda: euler3d_ring(n_per_axis=5),
+}
+
+
+def _stepped_case(model, regularized):
+    """A state one RK4 step in (G != I), with uneven weights."""
+    state, spec = _BLOCK_CASES[model]()
+    if not regularized:
+        spec = ModelSpec(model, 0.0)
+    state = rk4_step(spec, state, 0.05)
+    weights = state.weights * np.random.default_rng(3).uniform(0.5, 1.5, state.n)
+    assert np.max(np.abs(state.grads - np.eye(state.dim))) > 1e-4
+    return state.replace(weights=weights), spec
+
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
+@pytest.mark.parametrize("regularized", [True, False], ids=["delta", "no_delta"])
+@pytest.mark.parametrize("model", list(_BLOCK_CASES))
+def test_source_major_blocks_bitwise_equal_einsum_kernels(
+    monkeypatch, model, regularized
+):
+    if model == "euler3d" and not regularized:
+        pytest.skip("euler3d needs a positive delta")
+    state, spec = _stepped_case(model, regularized)
+    n = state.n
+    # one block; 1-row blocks; 7-row blocks with a short last block
+    for block in (dynamics.PAIR_BLOCK, n, 7 * n):
+        assert n % 7 != 0
+        monkeypatch.setattr(dynamics, "PAIR_BLOCK", block)
+        rows = min(n, block // n)
+        assert len(dynamics._run_chunks(lambda c: c, n)) == -(-n // rows)
+        for need_grad in (True, False):
+            u_ref, g_ref = _einsum_rhs(spec, state, need_grad)
+            for threads in (1, 2):
+                u, g, _ = evaluate_rhs(spec, state, threads, need_grad)
+                case = (block // n, need_grad, threads)
+                assert _bits(u) == _bits(u_ref), case
+                assert _bits(g) == _bits(g_ref), case
+
+
+@pytest.mark.parametrize("model", ["sqg", "euler3d"])
+def test_collision_in_a_later_block_is_reported(monkeypatch, model):
+    state, spec = _BLOCK_CASES[model]()
+    positions = state.positions.copy()
+    positions[-1] = positions[0]  # the last row sits in the last block
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 3 * state.n)
+    for threads in (1, 2):
+        with pytest.raises(NumericalFailureError, match="coincident"):
+            evaluate_rhs(spec, state.replace(positions=positions), threads)
