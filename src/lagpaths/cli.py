@@ -267,6 +267,8 @@ _REQUIRED = ("model", "scenario", "integrator", "output")
 # a larger grid is refused before init_grid allocates it; the pairwise sums
 # cost O(N^2) per evaluation, so no run near this size finishes anyway
 MAX_PARTICLES = 2**20
+# chord_arc draws and gathers every sampled pair at once, some 100 bytes each
+MAX_PAIR_SAMPLES = 2**22
 
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:
@@ -350,6 +352,10 @@ class RunConfig:
         diag.setdefault("output_every", 10)
         if diag["output_every"] < 1 or diag["pair_samples"] < 0:
             raise ConfigError("invalid diagnostics settings")
+        if diag["pair_samples"] > MAX_PAIR_SAMPLES:
+            raise ConfigError(
+                f"diagnostics.pair_samples must be at most {MAX_PAIR_SAMPLES}"
+            )
         grid = raw.get("grid")
         if grid is not None:
             if "extent" not in grid or "n_per_axis" not in grid:

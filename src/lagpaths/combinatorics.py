@@ -125,9 +125,11 @@ def enumerate_partitions_1d(n: int, k: int) -> list[Partition1D]:
     found: list[Partition1D] = []
 
     def extend(j: int, vec: list[int], rem_n: int, rem_k: int) -> None:
-        if j > n:
-            if rem_n == 0 and rem_k == 0:
-                found.append(Partition1D(tuple(vec), n, k))
+        if rem_k == 0:
+            if rem_n == 0:
+                found.append(Partition1D(tuple(vec) + (0,) * (n - len(vec)), n, k))
+            return
+        if rem_k * j > rem_n:  # every remaining part has size >= j
             return
         # parts of size j: k_j can be 0..min(rem_n//j, rem_k)
         for kj in range(min(rem_n // j, rem_k) + 1):
@@ -140,55 +142,24 @@ def enumerate_partitions_1d(n: int, k: int) -> list[Partition1D]:
     return found
 
 
-def _sub_multi_indices(alpha: MultiIndex) -> list[MultiIndex]:
-    """Nonzero multi-indices k with 0 <= k <= alpha componentwise."""
-    ranges = [range(a + 1) for a in alpha]
-    return [k for k in itertools.product(*ranges) if sum(k) > 0]
-
-
 def enumerate_partitions_multi(
     n: int, alpha: MultiIndex
 ) -> dict[int, list[PartitionMulti]]:
     """All sets P_s(n, alpha) for s = 1..n, keyed by s.
 
     Returns empty lists when |alpha| > n.  Within each s the ordering is
-    deterministic (lexicographic in the (ls, ks) encoding).
+    deterministic (lexicographic in the (ls, ks) encoding).  A view of
+    `partitions_by_alpha(n, len(alpha))`, so the first call for an (n, d)
+    enumerates and caches the partitions of every alpha of that order and
+    dimension, not only those of this alpha.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if mi_order(alpha) < 1:
         raise ValueError("alpha must have positive order")
     by_s: dict[int, list[PartitionMulti]] = {s: [] for s in range(1, n + 1)}
-    if mi_order(alpha) > n:
-        return by_s
-
-    def extend(
-        parts: list[tuple[MultiIndex, int]],
-        rem_alpha: tuple[int, ...],
-        rem_n: int,
-        l_min: int,
-    ) -> None:
-        if sum(rem_alpha) == 0:
-            if rem_n == 0 and parts:
-                ks = tuple(p[0] for p in parts)
-                ls = tuple(p[1] for p in parts)
-                by_s[len(parts)].append(PartitionMulti(ks, ls))
-            return
-        if rem_n < l_min:  # one more nonzero part costs at least l_min
-            return
-        for l in range(l_min, rem_n + 1):
-            for k in _sub_multi_indices(rem_alpha):
-                cost = sum(k) * l
-                if cost > rem_n:
-                    continue
-                rem2 = tuple(a - b for a, b in zip(rem_alpha, k))
-                parts.append((k, l))
-                extend(parts, rem2, rem_n - cost, l + 1)
-                parts.pop()
-
-    extend([], tuple(alpha), n, 1)
-    for s in by_s:
-        by_s[s].sort(key=lambda p: (p.ls, p.ks))
+    for part in partitions_by_alpha(n, len(alpha)).get(tuple(alpha), ()):
+        by_s[part.s].append(part)
     return by_s
 
 
@@ -198,16 +169,45 @@ def partitions_by_alpha(
 ) -> dict[MultiIndex, tuple[PartitionMulti, ...]]:
     """All multivariate partitions for order n in dimension d, keyed by alpha.
 
+    One depth-first search finds every P_s(n, alpha) at once.  Parts (k, l)
+    come in strictly increasing l, and a part is taken only if what it leaves
+    of n is 0 or can still pay for a part with a larger l, so every node of
+    the search reaches a leaf.  Keys follow `multi_indices_up_to` order and
+    each tuple is sorted by (s, ls, ks): `faa_di_bruno_multi` and
+    `taylor.time_jets_oracle` sum floats in this order.
+
     Cached because the Faa di Bruno evaluations reuse the same index sets for
     every particle pair and every kernel component.
     """
-    out: dict[MultiIndex, tuple[PartitionMulti, ...]] = {}
-    for alpha in multi_indices_up_to(n, d):
-        by_s = enumerate_partitions_multi(n, alpha)
-        flat = tuple(itertools.chain.from_iterable(by_s[s] for s in sorted(by_s)))
-        if flat:
-            out[alpha] = flat
-    return out
+    by_order: list[list[MultiIndex]] = [[] for _ in range(n + 1)]
+    for k in multi_indices_up_to(n, d):
+        by_order[mi_order(k)].append(k)
+    groups: dict[MultiIndex, list[PartitionMulti]] = {}
+    ks: list[MultiIndex] = []
+    ls: list[int] = []
+
+    def extend(rem_n: int, l_min: int) -> None:
+        for l in range(l_min, rem_n + 1):
+            for order in range(1, rem_n // l + 1):
+                rest = rem_n - order * l
+                if 0 < rest <= l:  # too little left for a part with l' > l
+                    continue
+                for k in by_order[order]:
+                    ks.append(k)
+                    ls.append(l)
+                    if rest:
+                        extend(rest, l + 1)
+                    else:
+                        part = PartitionMulti(tuple(ks), tuple(ls))
+                        groups.setdefault(tuple(map(sum, zip(*ks))), []).append(part)
+                    ks.pop()
+                    ls.pop()
+
+    extend(n, 1)
+    return {
+        alpha: tuple(sorted(groups[alpha], key=lambda p: (p.s, p.ls, p.ks)))
+        for alpha in sorted(groups)
+    }
 
 
 def faa_di_bruno_1d(h_derivs: Sequence, g_derivs: Sequence, n: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -100,6 +101,7 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         {"grid": {**_GRID, "n_per_axis": 10**6}},
         {"output": {}},
         {"output": {"directory": ""}},
+        {"diagnostics": {"pair_samples": 10**12}},
     ],
     ids=[
         "flat_extent",
@@ -118,6 +120,7 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         "grid_too_large",
         "no_directory",
         "empty_directory",
+        "huge_pair_samples",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, overrides):
@@ -315,6 +318,14 @@ def test_verify_identities_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-identities", "--max-n", "0"]) == 2
     assert main(["verify-identities", "--dims", "a,b"]) == 2
+
+
+def test_verify_identities_report_is_byte_stable(tmp_path):
+    """The default exact suite: every case and every digit of the report."""
+    report = tmp_path / "report.json"
+    assert main(["verify-identities", "--output", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == "266d66a3e17da2617d4ecf94867c4cbfbd696154b1dd3d786a8223c218e16621"
 
 
 def test_verify_identities_informational_ratio(capsys):

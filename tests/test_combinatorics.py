@@ -162,6 +162,98 @@ def test_partitions_by_alpha_consistent_with_per_alpha():
                 assert grouped.get(alpha, ()) == flat
 
 
+# the (n, d) range of the identity suite: d = 1 to n = 15, d = 2 and 3 to n = 10
+_SUITE_RANGE = [(n, 1) for n in range(1, 16)] + [
+    (n, d) for d in (2, 3) for n in range(1, 11)
+]
+
+
+def _coloured_partition_numbers(n_max, d):
+    """[t^n] prod_l (1 - t^l)^(-d) for n = 0..n_max, by integer series steps."""
+    coeffs = [1] + [0] * n_max
+    for l in range(1, n_max + 1):
+        for _ in range(d):  # multiply by 1 / (1 - t^l)
+            for i in range(l, n_max + 1):
+                coeffs[i] += coeffs[i - l]
+    return coeffs
+
+
+def test_partition_counts_match_generating_function():
+    """Each l carries a multi-index k_l >= 0 of weight t^(l |k_l|), and the
+    C(m + d - 1, d - 1) multi-indices of order m make (1 - t^l)^(-d)."""
+    counts = {d: _coloured_partition_numbers(15, d) for d in (1, 2, 3)}
+    assert counts[1][:8] == [1, 1, 2, 3, 5, 7, 11, 15]
+    for n, d in _SUITE_RANGE:
+        total = sum(len(parts) for parts in partitions_by_alpha(n, d).values())
+        assert total == counts[d][n], (n, d)
+    for n in range(1, 16):
+        total = sum(len(enumerate_partitions_1d(n, k)) for k in range(1, n + 1))
+        assert total == counts[1][n], n
+
+
+def test_magic_identity_multi_matches_generating_function():
+    """sum_k (c t^l)^|k| x^k / k! = exp(c t^l sum_i x_i) turns the signed sum
+    into sum_m (-d)^m [t^n] S(t)^m with S(t) = sum_l binomial_half(l) t^l."""
+    series = [F(0)] + [binomial_half(l) for l in range(1, 16)]
+    for n, d in _SUITE_RANGE:
+        expected = sum(
+            (-d) ** m * truncated_series_product([series] * m, n)[n]
+            for m in range(1, n + 1)
+        )
+        assert magic_identity_multi(n, d)[0] == expected, (n, d)
+
+
+def _reference_enumerate(n, d):
+    """The former per-alpha search: one depth-first search for every alpha."""
+
+    def sub_multi_indices(alpha):
+        ranges = [range(a + 1) for a in alpha]
+        return [k for k in itertools.product(*ranges) if sum(k) > 0]
+
+    def per_alpha(alpha):
+        by_s = {s: [] for s in range(1, n + 1)}
+
+        def extend(parts, rem_alpha, rem_n, l_min):
+            if sum(rem_alpha) == 0:
+                if rem_n == 0 and parts:
+                    ks = tuple(p[0] for p in parts)
+                    ls = tuple(p[1] for p in parts)
+                    by_s[len(parts)].append(PartitionMulti(ks, ls))
+                return
+            if rem_n < l_min:
+                return
+            for l in range(l_min, rem_n + 1):
+                for k in sub_multi_indices(rem_alpha):
+                    cost = sum(k) * l
+                    if cost > rem_n:
+                        continue
+                    rem2 = tuple(a - b for a, b in zip(rem_alpha, k))
+                    parts.append((k, l))
+                    extend(parts, rem2, rem_n - cost, l + 1)
+                    parts.pop()
+
+        extend([], tuple(alpha), n, 1)
+        for s in by_s:
+            by_s[s].sort(key=lambda p: (p.ls, p.ks))
+        return by_s
+
+    out = {}
+    for alpha in multi_indices_up_to(n, d):
+        by_s = per_alpha(alpha)
+        flat = tuple(itertools.chain.from_iterable(by_s[s] for s in sorted(by_s)))
+        if flat:
+            out[alpha] = flat
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_partitions_by_alpha_matches_per_alpha_reference(d):
+    """Same keys in the same order, same partitions in the same order."""
+    for n in range(1, 8):
+        got = partitions_by_alpha(n, d)
+        assert list(got.items()) == list(_reference_enumerate(n, d).items()), n
+
+
 def test_faa_di_bruno_1d_examples():
     # f = exp(t**2): h = exp with all derivatives 1 at g(0) = 0, g = t**2
     h = [F(1)] * 3
