@@ -474,15 +474,13 @@ def append_state_rows(lines: list[str], state: dynamics.ParticleState) -> None:
     g = state.grads if state.grads is not None else dynamics.identity_grads(
         state.n, state.dim
     )
-    for i in range(state.n):
-        row = (
-            [_fmt(state.t), str(i)]
-            + [_fmt(v) for v in state.labels[i]]
-            + [_fmt(v) for v in state.positions[i]]
-            + [_fmt(v) for v in g[i].reshape(-1)]
-            + [_fmt(data_col[i])]
-        )
-        lines.append(",".join(row))
+    t = _fmt(state.t)
+    # + 0.0 turns -0.0 into 0.0, as _fmt does; repr of each float is _fmt's text
+    values = np.column_stack(
+        [state.labels, state.positions, g.reshape(state.n, -1), data_col]
+    ) + 0.0
+    for i, row in enumerate(values.tolist()):
+        lines.append(f"{t},{i},{','.join(map(repr, row))}")
 
 
 DIAG_HEADER = (
@@ -565,7 +563,7 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     # the diagnostics need grad u even where G is not evolved
     diag_spec = dataclasses.replace(spec, evolve_gradients=True)
     # labels never move: one neighbor search serves every chord-arc sample
-    neighbors = dynamics.nearest_neighbor_pairs(state.labels)
+    neighbors = dynamics.nearest_neighbor_pairs(state.labels, threads=threads)
 
     def diagnose(s):
         u, grad_u, w_dot = dynamics.evaluate_rhs(diag_spec, s, threads=threads)

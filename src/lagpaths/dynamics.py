@@ -26,6 +26,7 @@ results are bitwise independent of the worker-thread count.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -506,21 +507,93 @@ class DiagnosticsRecord:
     angular_impulse: Optional[float] = None
 
 
-def nearest_neighbor_pairs(labels: np.ndarray) -> np.ndarray:
-    """Index pairs (i, nn(i)) under label distance, computed chunkwise."""
-    n = len(labels)
+# labels per cell that the neighbour search's cell size aims at
+CELL_OCCUPANCY = 4
 
-    def chunk_fn(rng):
+
+def _k_smallest(d2: np.ndarray, cand: np.ndarray, k: int):
+    """Per row, the k candidates smallest by (d2, index), with their d2.
+
+    Takes one minimum at a time and overwrites its d2 with inf; for the k
+    <= 4 used here that is faster than sorting the rows.
+    """
+    picks, dists = [], []
+    for _ in range(k):
+        best = d2.min(axis=1)
+        pick = np.where(d2 == best[:, None], cand, np.iinfo(cand.dtype).max).min(axis=1)
+        d2[cand == pick[:, None]] = np.inf
+        picks.append(pick)
+        dists.append(best)
+    return np.stack(picks, axis=1), np.stack(dists, axis=1)
+
+
+def nearest_neighbor_pairs(
+    labels: np.ndarray, k: int = 1, threads: int = 1
+) -> np.ndarray:
+    """Pairs (i, j) joining each label to its k nearest other labels.
+
+    Row i's neighbours are the k smallest by (squared distance, index); the
+    result has n * k rows, ``pairs[i * k + c] = (i, c-th neighbour of i)``.
+    A uniform cell list gives each row the labels of its 3^d adjacent cells.
+    Every other label is farther than one cell size, so a row whose k-th
+    candidate lies within that is exact; any other row is searched again over
+    all labels.  Squared distances are formed as in a brute-force scan, so
+    for k = 1 the result is that scan's argmin.
+    """
+    n, d = labels.shape
+    if not 1 <= k < n:
+        raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
+    lo = labels.min(axis=0)
+    span = labels.max(axis=0) - lo
+    live = span > 0
+    size = 1.0
+    if live.any():
+        size = float(np.prod(span[live]) * CELL_OCCUPANCY / n) ** (1.0 / live.sum())
+        # at most n + 1 cells per axis, so a cell key fits an int64
+        size = max(size, float(span.max()) / n)
+    cell = np.floor((labels - lo) / size).astype(np.int64)
+    # a one-cell border on each side keeps every adjacent cell's key distinct
+    stride = np.cumprod(np.concatenate([[1], cell.max(axis=0)[:-1] + 3]))
+    key = (cell + 1) @ stride
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ stride
+    slots = np.arange(count.max())
+    # binning rounds (x - lo) / size; the margin keeps the shell test safe
+    shell = (0.999 * size) ** 2
+
+    def near(rng):
         i0, i1 = rng
-        d2 = np.sum(
-            (labels[i0:i1, None, :] - labels[None, :, :]) ** 2, axis=-1
-        )
-        rows = np.arange(i0, i1)
-        d2[rows - i0, rows] = np.inf
-        return np.argmin(d2, axis=1)
+        adj = key[i0:i1, None] + offsets
+        pos = np.minimum(np.searchsorted(cells, adj), len(cells) - 1)
+        filled = np.where(cells[pos] == adj, count[pos], 0)
+        ok = (slots < filled[..., None]).reshape(i1 - i0, -1)
+        cand = order[(start[pos][..., None] + slots).reshape(i1 - i0, -1) * ok]
+        d2 = np.sum((labels[i0:i1, None, :] - np.take(labels, cand, 0)) ** 2, axis=-1)
+        d2[~ok | (cand == np.arange(i0, i1)[:, None])] = np.inf
+        return _k_smallest(d2, cand, k)
 
-    nearest = np.concatenate(_run_chunks(chunk_fn, n))
-    return np.stack([np.arange(n), nearest], axis=-1)
+    width = len(offsets) * len(slots)
+    nbr, far = np.empty((n, k), dtype=np.intp), np.arange(n)
+    # a row with more candidate slots than labels is cheaper scanned in full
+    if width < n:
+        rows = max(1, PAIR_BLOCK // width)
+        found = _run_chunks(near, n, threads, budget=rows * n)
+        nbr = np.concatenate([f[0] for f in found])
+        far = np.flatnonzero(np.concatenate([f[1][:, -1] for f in found]) > shell)
+    if far.size:
+
+        def brute(rng):
+            i = far[rng[0]:rng[1]]
+            d2 = np.sum((labels[i, None, :] - labels[None, :, :]) ** 2, axis=-1)
+            d2[np.arange(len(i)), i] = np.inf
+            return _k_smallest(d2, np.broadcast_to(np.arange(n), d2.shape), k)[0]
+
+        rows = max(1, PAIR_BLOCK // n)
+        nbr[far] = np.concatenate(
+            _run_chunks(brute, far.size, threads, budget=rows * far.size)
+        )
+    return np.stack([np.repeat(np.arange(n), k), nbr.reshape(-1)], axis=-1)
 
 
 def chord_arc(

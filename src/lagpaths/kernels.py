@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -86,6 +86,10 @@ class ScalarKernel:
 
     dim: int
     terms: tuple[KernelTerm, ...]
+    # derive_multi's results by multi-index; not part of the value
+    _derived: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def build(dim: int, terms: Iterable[KernelTerm]) -> "ScalarKernel":
@@ -147,10 +151,17 @@ class ScalarKernel:
         return ScalarKernel.build(self.dim, new)
 
     def derive_multi(self, alpha: MultiIndex) -> "ScalarKernel":
-        out = self
-        for axis, count in enumerate(alpha):
-            for _ in range(count):
-                out = out.derive(axis)
+        """d^alpha of the kernel, one ``derive`` step from alpha minus its
+        last nonzero axis; every result is kept for the kernel's lifetime."""
+        alpha = tuple(alpha)
+        axes = [axis for axis, count in enumerate(alpha) if count]
+        if not axes:
+            return self
+        out = self._derived.get(alpha)
+        if out is None:
+            last = axes[-1]
+            lower = alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:]
+            out = self._derived[alpha] = self.derive_multi(lower).derive(last)
         return out
 
     def times_gaussian(self, rate: Fraction) -> "ScalarKernel":
@@ -198,16 +209,22 @@ class ScalarKernel:
                 vals.append(v)
             return math.fsum(vals)
         r = np.sqrt(r2)
+        # each power, radial factor and Gaussian once per call, shared by terms
+        terms = self.terms
+        monos = {(i, e) for t in terms for i, e in enumerate(t.mono) if e}
+        powers = {(i, e): y[..., i] ** e for i, e in monos}
+        radial = {p: r ** (-float(p)) for p in {t.rpow for t in terms if t.rpow}}
+        gauss = {q: np.exp(-float(q) * r2) for q in {t.grate for t in terms if t.grate}}
         total = np.zeros(r2.shape)
-        for t in self.terms:
+        for t in terms:
             v = np.full(r2.shape, t.coeff_float())
             for i, e in enumerate(t.mono):
                 if e:
-                    v = v * y[..., i] ** e
+                    v = v * powers[i, e]
             if t.rpow:
-                v = v * r ** (-float(t.rpow))
+                v = v * radial[t.rpow]
             if t.grate:
-                v = v * np.exp(-float(t.grate) * r2)
+                v = v * gauss[t.grate]
             total += v
         return total
 

@@ -37,6 +37,7 @@ from .dynamics import (
     _brackets_2d,
     _run_chunks,
     evaluate_rhs,
+    nearest_neighbor_pairs,
     operator_norms,
 )
 from .errors import ConfigError, NumericalFailureError
@@ -511,22 +512,6 @@ class HolderStats:
             raise ConfigError("lambda must lie in (1, 3/2]")
 
 
-def _k_nearest_pairs(labels: np.ndarray, k: int) -> np.ndarray:
-    def chunk_fn(rng):
-        i0, i1 = rng
-        d2 = np.sum((labels[i0:i1, None, :] - labels[None, :, :]) ** 2, axis=-1)
-        rows = np.arange(i0, i1)
-        d2[rows - i0, rows] = np.inf
-        idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-        return np.concatenate(
-            [np.stack([rows, idx[:, col]], axis=-1) for col in range(k)]
-        )
-
-    # the pair order follows the block boundaries, so the blocks keep their size
-    blocks = _run_chunks(chunk_fn, len(labels), budget=2_000_000)
-    return np.concatenate(blocks, axis=0)
-
-
 def holder_stats(
     state: ParticleState,
     gamma: float,
@@ -536,15 +521,15 @@ def holder_stats(
 ) -> HolderStats:
     """Discrete Holder/Lebesgue statistics of the label data.
 
-    Seminorms maximize difference quotients over nearest- and
-    next-nearest-neighbor pairs plus a seeded random pair sample; they are
-    lower-bound estimators of the continuum seminorms.
+    Seminorms maximize difference quotients over each label's four nearest
+    neighbours plus a seeded random pair sample; they are lower-bound
+    estimators of the continuum seminorms.
     """
     if state.theta0 is None or state.grad_theta0 is None:
         raise ConfigError("holder statistics need theta0 and grad_theta0")
     labels = state.labels
     n = state.n
-    pairs = [_k_nearest_pairs(labels, min(4, n - 1))]
+    pairs = [nearest_neighbor_pairs(labels, min(4, n - 1))]
     if sample_pairs > 0:
         rng = np.random.default_rng(seed)
         i = rng.integers(0, n, size=sample_pairs)

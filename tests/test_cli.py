@@ -239,6 +239,57 @@ def test_simulate_two_vortex_outputs(tmp_path):
     assert diag_lines[0] == DIAG_HEADER
 
 
+def _per_value_state_rows(state):
+    """The per-value formatting loop that append_state_rows replaced."""
+
+    def fmt(x):
+        return "" if x is None else repr(float(x) + 0.0)
+
+    if state.theta0 is not None:
+        data_col = state.theta0
+    elif state.omega0 is not None and state.omega0.ndim == 1:
+        data_col = state.omega0
+    else:
+        data_col = np.zeros(state.n)
+    g = state.grads if state.grads is not None else dynamics.identity_grads(
+        state.n, state.dim
+    )
+    return [
+        ",".join(
+            [fmt(state.t), str(i)]
+            + [fmt(v) for v in state.labels[i]]
+            + [fmt(v) for v in state.positions[i]]
+            + [fmt(v) for v in g[i].reshape(-1)]
+            + [fmt(data_col[i])]
+        )
+        for i in range(state.n)
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_state_rows_match_per_value_format(dim):
+    special = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, 0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(dim)
+    n = 12
+    values = rng.choice(special, size=(n, dim + dim + dim * dim + dim + 1))
+    cols = np.split(values, np.cumsum([dim, dim, dim * dim, dim]), axis=1)
+    labels, positions, grads, omega, theta = cols
+    base = dynamics.ParticleState(
+        dim, labels, positions, np.ones(n), grads=grads.reshape(n, dim, dim), t=-0.0
+    )
+    states = [
+        base,
+        base.replace(theta0=theta[:, 0], t=1e-300),
+        base.replace(grads=None, omega0=theta[:, 0], t=0.25),
+        base.replace(omega0=omega, t=5e-324),
+    ]
+    for state in states:
+        lines = []
+        cli.append_state_rows(lines, state)
+        assert lines == _per_value_state_rows(state)
+    assert "-0.0" not in "".join(lines) and "5e-324" in "".join(lines)
+
+
 def test_simulate_deterministic_across_threads_and_reruns(tmp_path):
     blobs = {}
     for tag, threads in (("a", "1"), ("b", "2"), ("c", "4"), ("a2", "1")):
@@ -345,6 +396,14 @@ def test_verify_kernels_exit_codes(tmp_path, capsys):
     # with nan**0 == 1 a NaN constant would pass order 0 of every envelope
     assert main(["verify-kernels", "--ck", "nan"]) == 2
     assert main(["verify-kernels", "--ck", "inf"]) == 2
+
+
+def test_verify_kernels_report_is_byte_stable(tmp_path):
+    """The default kernel suite at seed 5: every case and every digit."""
+    report = tmp_path / "report.json"
+    assert main(["verify-kernels", "--seed", "5", "--output", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == "c6461ac185eb9ce6fcb31fb3f3ae942e2428155eb10e520de57a587e6c6b4c74"
 
 
 def test_verify_kernels_fails_with_small_constant(capsys):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from lagpaths.combinatorics import (
@@ -62,20 +63,22 @@ def test_factorial_bound_rejects_small_j():
         check_factorial_bound(1)
 
 
-def _brute_partitions_1d(n, k):
-    """Independent enumeration over the whole box {0..n}^n."""
-    out = set()
-    for vec in itertools.product(range(n + 1), repeat=n):
-        if sum((j + 1) * kj for j, kj in enumerate(vec)) == n and sum(vec) == k:
-            out.add(vec)
+def _brute_partitions_1d(n):
+    """Independent enumeration over the whole box {0..n}^n, by part count k."""
+    box = np.indices((n + 1,) * n, dtype=np.int16).reshape(n, -1)
+    sizes = np.arange(1, n + 1, dtype=np.int16) @ box
+    out = {k: set() for k in range(1, n + 1)}
+    for vec in box[:, sizes == n].T.tolist():
+        out[sum(vec)].add(tuple(vec))
     return out
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_partitions_1d_match_brute_force(n):
+    brute = _brute_partitions_1d(n)
     for k in range(1, n + 1):
         got = {p.k for p in enumerate_partitions_1d(n, k)}
-        assert got == _brute_partitions_1d(n, k)
+        assert got == brute[k]
 
 
 def test_partitions_1d_examples():
@@ -97,19 +100,20 @@ def test_partitions_1d_constraints_hold():
 
 def _brute_partitions_multi(n, alpha):
     """Independent enumeration: all s, all increasing l-tuples, all k-tuples."""
-    subs = [
-        k
-        for k in itertools.product(*(range(a + 1) for a in alpha))
-        if sum(k) > 0
-    ]
+    subs = np.array(
+        [k for k in itertools.product(*(range(a + 1) for a in alpha)) if sum(k) > 0],
+        dtype=np.int16,
+    ).reshape(-1, len(alpha))
     found = set()
     for s in range(1, n + 1):
+        # every k-tuple, one column each; keep those that sum to alpha
+        picks = np.indices((len(subs),) * s, dtype=np.int16).reshape(s, -1)
+        fits = (sum(subs[p] for p in picks) == alpha).all(axis=-1)
+        picks = picks[:, fits]
+        orders = subs.sum(axis=1)[picks]
         for ls in itertools.combinations(range(1, n + 1), s):
-            for ks in itertools.product(subs, repeat=s):
-                if tuple(map(sum, zip(*ks))) != tuple(alpha):
-                    continue
-                if sum(sum(k) * l for k, l in zip(ks, ls)) != n:
-                    continue
+            for col in np.flatnonzero(np.array(ls) @ orders == n):
+                ks = tuple(map(tuple, subs[picks[:, col]].tolist()))
                 found.add((ks, ls))
     return found
 

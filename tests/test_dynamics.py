@@ -250,6 +250,80 @@ def test_chord_arc_flags_coincident_positions():
     assert math.isfinite(lo)
 
 
+def _argmin_neighbors(labels):
+    """The brute-force nearest-neighbour scan the cell list replaced."""
+    n = len(labels)
+
+    def chunk_fn(rng):
+        i0, i1 = rng
+        d2 = np.sum(
+            (labels[i0:i1, None, :] - labels[None, :, :]) ** 2, axis=-1
+        )
+        rows = np.arange(i0, i1)
+        d2[rows - i0, rows] = np.inf
+        return np.argmin(d2, axis=1)
+
+    nearest = np.concatenate(dynamics._run_chunks(chunk_fn, n))
+    return np.stack([np.arange(n), nearest], axis=-1)
+
+
+def _sorted_neighbors(labels, k):
+    """Each row's k nearest other labels by (squared distance, index)."""
+    n = len(labels)
+    d2 = np.sum((labels[:, None, :] - labels[None, :, :]) ** 2, axis=-1)
+    return [
+        sorted((j for j in range(n) if j != i), key=lambda j: (d2[i, j], j))[:k]
+        for i in range(n)
+    ]
+
+
+def _label_clouds():
+    rng = np.random.default_rng(7)
+    dense = rng.uniform(size=(400, 2)) * (4.0, 1.0)
+    sparse = rng.uniform(size=(40, 2)) * (20.0, 1.0) + (4.0, 0.0)
+    t = np.linspace(0.0, 1.0, 60)
+    return {
+        "grid2d": init_grid(((-2.0, 2.0), (-1.0, 1.0)), 20).labels,
+        "grid3d": init_grid(((-1.0, 1.0),) * 3, 7).labels,
+        "uniform": rng.uniform(-1.0, 1.0, size=(500, 2)),
+        # cells fit the dense part, so rows of the sparse strip find no
+        # k-th neighbour within one cell and are searched again
+        "clustered": np.concatenate([dense, sparse]),
+        "collinear": np.stack([t, 2.0 * t, -t], axis=-1),
+        "duplicated": np.repeat(rng.uniform(size=(40, 2)), 3, axis=0),
+        "two": np.array([[0.0, 0.0], [0.5, 0.5]]),
+    }
+
+
+@pytest.mark.parametrize("cloud", list(_label_clouds()))
+def test_nearest_neighbor_pairs_match_brute_force(monkeypatch, cloud):
+    labels = _label_clouds()[cloud]
+    n = len(labels)
+    assert np.array_equal(
+        dynamics.nearest_neighbor_pairs(labels), _argmin_neighbors(labels)
+    )
+    kmax = min(4, n - 1)
+    want = _sorted_neighbors(labels, kmax)
+    searches = []
+    run_chunks = dynamics._run_chunks
+
+    def spy(fn, rows, threads=1, budget=None):
+        searches.append(rows)
+        return run_chunks(fn, rows, threads, budget)
+
+    monkeypatch.setattr(dynamics, "_run_chunks", spy)
+    for k in range(1, kmax + 1):
+        for threads in (1, 2):
+            got = dynamics.nearest_neighbor_pairs(labels, k, threads)
+            pairs = [(i, j) for i, row in enumerate(want) for j in row[:k]]
+            assert list(map(tuple, got.tolist())) == pairs, (k, threads)
+    if cloud == "clustered":
+        # every search met rows with no k-th neighbour within one cell
+        assert len(searches) == 2 * 2 * kmax
+    with pytest.raises(ValueError):
+        dynamics.nearest_neighbor_pairs(labels, n)
+
+
 def test_lambda_accumulate():
     assert lambda_accumulate([0.0, 0.0, 0.0], [0.0, 0.1, 0.2]) == 1.0
     c, t_end, steps = 0.7, 2.0, 400
