@@ -173,8 +173,10 @@ def run_kernel_suite(
     c_k: float, max_order: int, samples: int, seed: int
 ) -> VerificationReport:
     """Derivative envelopes at the given constant, plus circle means."""
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    if not 1 <= samples <= MAX_KERNEL_SAMPLES:
+        raise ConfigError(f"samples must lie in 1..{MAX_KERNEL_SAMPLES}")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if not 0 < max_order <= 6:
         raise ConfigError("max_order must lie in 1..6")
     if not (math.isfinite(c_k) and c_k > 0):
@@ -269,6 +271,9 @@ _REQUIRED = ("model", "scenario", "integrator", "output")
 MAX_PARTICLES = 2**20
 # chord_arc draws and gathers every sampled pair at once, some 100 bytes each
 MAX_PAIR_SAMPLES = 2**22
+# verify-kernels evaluates each derivative on all samples at once, some 300
+# bytes of peak memory per sample
+MAX_KERNEL_SAMPLES = 2**20
 
 
 def _check_keys(data: dict, schema: dict, path: str = "") -> None:

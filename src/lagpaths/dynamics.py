@@ -293,15 +293,20 @@ def _pair_block(cols, i0: int, i1: int):
     return Y, r2, self_pairs
 
 
-def _source_dot(a, b, scratch: np.ndarray) -> np.ndarray:
-    """sum_j a[j, i] b[j, i] for each target row i, adding the sources in
-    index order; ``scratch`` is a (sources, rows) array for the products.
+def _source_dot(spec: str, a, b) -> np.ndarray:
+    """``np.einsum(spec, a, b)``, where spec sums over the sources j of the
+    (sources, rows) block b and keeps the rows i last.
 
-    numpy adds a 2-D block down its columns one source at a time, but sums
-    a one-column block as a contiguous vector, pairwise; cumsum never does.
+    einsum reads each array once and adds the sources in index order, one
+    at a time, except on a one-column block, which it sums as a contiguous
+    vector, pairwise; there the products are summed by cumsum, which never
+    does.
     """
-    p = np.multiply(a, b, out=scratch)
-    return p.sum(axis=0) if p.shape[1] > 1 else np.cumsum(p, axis=0)[-1]
+    if b.shape[1] > 1:
+        return np.einsum(spec, a, b)
+    inputs, out = spec.split("->")
+    p = np.einsum(f"{inputs}->{out[:-1]}j{out[-1]}", a, b)
+    return np.cumsum(p, axis=-2)[..., -1, :]
 
 
 def evaluate_rhs(
@@ -323,10 +328,13 @@ def evaluate_rhs(
     else:
         cols = list(state.positions.T)
         dens = model.density(state)
-        wd = (w * dens)[:, None]
+        # source weights: w rho, and for SQG's gradient w grad theta on the
+        # path, (w b2, -w b1)
+        W = [w * dens]
         if need_grad and transported:
             b1, b2 = _brackets_2d(state)
-            wv = ((w * b2)[:, None], (w * -b1)[:, None])  # grad theta on the path
+            W += [w * b2, w * -b1]
+        W = np.stack(W)
 
         def chunk_fn(rng):
             (y0, y1), r2, self_pairs = _pair_block(cols, *rng)
@@ -338,12 +346,12 @@ def evaluate_rhs(
             k = (-y1 * radial, y0 * radial)
             for c in k:
                 c[self_pairs] = 0.0
-            tmp = np.empty_like(r2)
-            u_chunk = np.stack([_source_dot(wd, c, tmp) for c in k], axis=-1)
+            sums = [_source_dot("cj,ji->ci", W, c) for c in k]  # (len(W), rows)
+            u_chunk = np.stack([row[0] for row in sums], axis=-1)
             if not need_grad:
                 return u_chunk, None
             if transported:
-                g = [_source_dot(v, c, tmp) for c in k for v in wv]
+                g = [row[m] for row in sums for m in (1, 2)]
             else:
                 # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
                 # over r^4, regularized
@@ -351,7 +359,7 @@ def evaluate_rhs(
                 e11 = 2.0 * y0 * y1 * s
                 e12 = (y1**2 - y0**2) * s
                 e11[self_pairs] = e12[self_pairs] = 0.0
-                a, b = _source_dot(wd, e11, tmp), _source_dot(wd, e12, tmp)
+                a, b = (_source_dot("j,ji->i", W[0], e) for e in (e11, e12))
                 g = [a, b, b, -a]
             return u_chunk, np.stack(g, axis=-1).reshape(-1, 2, 2)
 
@@ -392,8 +400,9 @@ def _rhs_euler3d(spec, state, threads, need_grad):
         ]
         for c in cross:
             c[self_pairs] = 0.0
-        tmp = np.empty_like(r2)
-        u_chunk = np.stack([_source_dot(c, inv_r3, tmp) for c in cross], axis=-1)
+        u_chunk = np.stack(
+            [_source_dot("ji,ji->i", c, inv_r3) for c in cross], axis=-1
+        )
         if not need_grad:
             return u_chunk, None
         s = 3.0 * f / (8.0 * math.pi * r2 * r2 * r)
@@ -402,7 +411,8 @@ def _rhs_euler3d(spec, state, threads, need_grad):
         sy = [s * y for y in Y]
         # s (zxw Y^T + Y zxw^T), each product formed as (s a) b
         g = [
-            _source_dot(sz[k], Y[m], tmp) + _source_dot(sy[k], zxw[m], tmp)
+            _source_dot("ji,ji->i", sz[k], Y[m])
+            + _source_dot("ji,ji->i", sy[k], zxw[m])
             for k in range(3)
             for m in range(3)
         ]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -101,6 +101,13 @@ class ScalarKernel:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def parity(self) -> Optional[int]:
+        """s in K(-y) = s K(y): 1 when every term's monomial degree is even,
+        -1 when every one is odd, None for a mix."""
+        signs = {(-1) ** sum(t.mono) for t in self.terms} or {1}
+        return signs.pop() if len(signs) == 1 else None
 
     def __add__(self, other: "ScalarKernel") -> "ScalarKernel":
         return ScalarKernel.build(self.dim, self.terms + other.terms)

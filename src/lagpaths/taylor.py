@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,8 +48,8 @@ from .kernels import KernelExpr, catalog, regularize
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
 FAST_MAX_ORDER = 25
-# time_jets_fast: pairs per row block, and the bytes of pair-jet history
-# the blocks of one expansion may keep across orders
+# time_jets_fast: pairs per square tile of the work-unit grid, and the bytes
+# of pair-jet history the units of one expansion may keep across orders
 JET_BLOCK_PAIRS = 2**15
 JET_CACHE_BYTES = 64 * 2**20
 
@@ -162,15 +163,50 @@ def time_jets_oracle(
 # -- jet propagation ----------------------------------------------------------
 
 
-def _masked_pair_jets(xj: np.ndarray, i0: int, i1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement jets for rows [i0:i1) with self pairs made evaluable."""
-    xt = np.ascontiguousarray(np.moveaxis(xj, 2, 1))  # (orders, d, N)
-    y = xt[:, :, i0:i1, None] - xt[:, :, None, :]  # (orders, d, rows, N)
-    rows = np.arange(i0, i1)
-    mask = np.zeros(y.shape[2:], dtype=bool)
-    mask[rows - i0, rows] = True
-    y[0, 0][mask] = 1.0  # dummy displacement, result zeroed afterwards
-    return y, mask
+def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Work units of an n-particle pair sum that hold each pair i < j once.
+
+    The particles are cut into contiguous tiles of equal size (the last one
+    may be shorter), about sqrt(JET_BLOCK_PAIRS) each, and a unit is a pair
+    of tiles (I, J >= I) in row-major order: all of I x J, or the pairs above
+    the diagonal of I x I.  The boundaries depend on n and JET_BLOCK_PAIRS
+    only.
+    """
+    tiles = -(-n // math.isqrt(JET_BLOCK_PAIRS))
+    side = -(-n // tiles)
+    edges = [(s, min(s + side, n)) for s in range(0, n, side)]
+    return [(ti, tj) for a, ti in enumerate(edges) for tj in edges[a:]]
+
+
+@lru_cache(maxsize=8)  # one expansion has at most four tile shapes
+def _tile_pairs(rows: int, cols: int, diagonal: bool) -> np.ndarray:
+    """Local (row, source) indices of a unit's pairs, in row-major order."""
+    i, j = np.indices((rows, cols)).reshape(2, -1)
+    return np.stack([i[i < j], j[i < j]]) if diagonal else np.stack([i, j])
+
+
+def _jet_kernels(spec: ModelSpec, with_gradients: bool):
+    """(need_g, transported, keep, stream layout, history arrays) of a
+    generic expansion; see ``history_arrays``."""
+    model = MODELS[spec.model]
+    need_g = with_gradients or not model.closed
+    entry = catalog(spec.model)
+    comps = _regularized(spec, entry.velocity_kernel).comps
+    if need_g:
+        comps += _regularized(spec, entry.gradient_kernel).comps
+    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
+    # a pair sum that multiplies the kernel by a jet reads its history
+    keep = need_g and (transported or not model.closed)
+    layout = KernelStream(comps)
+    arrays = layout.histories + model.dim + (len(layout.unique) if keep else 0)
+    return need_g, transported, keep, layout, arrays
+
+
+def history_arrays(spec: ModelSpec, with_gradients: bool = False) -> int:
+    """Arrays a work unit that keeps its stream holds per pair and
+    coefficient: the stream's histories, the displacement components and,
+    where a pair sum multiplies the kernel by a jet, the kernel jets."""
+    return _jet_kernels(spec, with_gradients)[4]
 
 
 def time_jets_fast(
@@ -189,15 +225,15 @@ def time_jets_fast(
     numba is present; pass ``use_compiled=False`` to force the generic route
     (the two are cross-checked in the test suite).
 
-    The generic route streams each row block's pair jets (see README, "Jet
-    routes"); only coefficient n of each pair sum and of G' = (grad u) G is
-    formed at order n.
+    The generic route streams each work unit's pair jets, each unordered
+    pair once (see README, "Jet routes"); only coefficient n of each pair
+    sum and of G' = (grad u) G is formed at order n.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
     ensure_taylor_model(spec)
     model = MODELS[spec.model]
-    need_g = with_gradients or not model.closed
+    need_g, transported, keep, layout, arrays = _jet_kernels(spec, with_gradients)
     w = state.weights
 
     if use_compiled and not need_g:
@@ -217,21 +253,19 @@ def time_jets_fast(
             return TrajectoryJets(xj, state.t, spec.model, None)
     d = state.dim
     n_pts = state.n
-    entry = catalog(spec.model)
-    comps = _regularized(spec, entry.velocity_kernel).comps
-    if need_g:
-        comps += _regularized(spec, entry.gradient_kernel).comps
-    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
-    # a pair sum that multiplies the kernel by a jet reads its history
-    keep = need_g and (transported or not model.closed)
-    # fixed row blocks of equal size, about JET_BLOCK_PAIRS pairs each
-    rows = -(-n_pts // -(-n_pts * n_pts // JET_BLOCK_PAIRS))
-    # blocks whose histories fit the budget keep their stream across
-    # orders; the rest rebuild it from coefficient 0 at every order
-    layout = KernelStream(comps)
-    per_pair = layout.histories + (len(layout.unique) if keep else 0)
-    cached_rows = JET_CACHE_BYTES // (8 * per_pair * max(order, 1) * n_pts)
-    blocks: dict = {}
+    unique = len(layout.unique)
+    # K(X_j - X_i) = parity K(X_i - X_j): one push serves both particles
+    parity = np.array([c.parity for c in layout.unique], dtype=float)
+    units = _pair_units(n_pts)
+    pairs = [
+        _tile_pairs(i1 - i0, j1 - j0, i0 == j0).shape[1]
+        for (i0, i1), (j0, j1) in units
+    ]
+    # units whose histories fit the budget keep their stream across orders;
+    # the rest rebuild it from coefficient 0 at every order
+    per_pair = 8 * max(order, 1) * arrays
+    cached = np.cumsum(pairs) * per_pair <= JET_CACHE_BYTES
+    states: dict = {}
 
     xj = np.zeros((order + 1, n_pts, d))
     xj[0] = state.positions
@@ -245,51 +279,76 @@ def time_jets_fast(
     rho = model.density(state) if model.closed else None  # constant, (N,)
 
     for n in range(order):
+        xt = np.moveaxis(xj[: n + 1], 2, 1)  # (n + 1, d, N)
         if need_g:
             # G jets map to bracket and density jets, (n + 1, N)
             g_state = state.replace(grads=gj[: n + 1])
             if not model.closed:
                 rho = model.density(g_state)
-            if transported:
-                b1, b2 = _brackets_2d(g_state)
-                vj = np.stack([b2, -b1], axis=1)  # grad theta jets, (n + 1, 2, N)
+        # the weights of the pair sums as jets (one coefficient when
+        # constant), (length, m, N): w rho, then w grad theta on the path
+        wr = [(w * rho).reshape(-1, 1, n_pts)]
+        if need_g and transported:
+            b1, b2 = _brackets_2d(g_state)
+            wr.append(w * np.stack([b2, -b1], axis=1))
 
-        def chunk_rhs(rng):
-            i0, i1 = rng
-            y, mask = _masked_pair_jets(xj[: n + 1], i0, i1)
-            if rng in blocks:
-                stream, kept = blocks[rng]
+        def unit_sums(u):
+            (i0, i1), (j0, j1) = units[u]
+            ii, jj = _tile_pairs(i1 - i0, j1 - j0, i0 == j0)
+            if u in states:
+                stream, y, kept = states[u]
             else:
-                stream, kept = KernelStream(comps), []
-                if i1 <= cached_rows:
-                    blocks[rng] = stream, kept
+                length = order if cached[u] else n + 1
+                stream = KernelStream(layout.unique)
+                y = np.empty((length, d, len(ii)))
+                kept = np.empty((length, unique, len(ii))) if keep else None
+                if cached[u]:
+                    states[u] = stream, y, kept
+            # the gathers take the particle axis with np.take, which gives
+            # C-contiguous results; a[..., idx] would be strided, and the
+            # products below read it several times slower
+            m = stream.n  # displacement coefficients m..n are new to it
+            y[m : n + 1] = np.take(xt[m:], i0 + ii, -1) - np.take(xt[m:], j0 + jj, -1)
             while stream.n <= n:
-                k = stream.push(y)  # (unique, rows, N)
-                k[..., mask] = 0.0
+                k = stream.push(y)  # (unique, pairs)
                 if keep:
-                    kept.append(k)
-            del y  # the pair sums below need only the kernel jets
-            # coefficient n of sum_j w_j rho_j k_j
-            if rho.ndim == 1:
-                s = np.einsum("...j,j->...", k, w * rho)
-            else:
-                s = np.einsum("...j,j->...", mul_step(kept, rho, n), w)
-            s = stream.expand(s)
-            if not need_g:
-                return s, None
-            if transported:
-                # outer product with the transported-gradient jets
-                v = mul_step([h[:, None] for h in kept], vj[:, None, :, None, :], n)
-                return s[:d], stream.expand(np.einsum("...j,j->...", v, w))[d:]
-            return s[:d], s[d:].reshape(d, d, -1)
+                    kept[stream.n - 1] = k
+            # coefficient n of sum_j wr_j k(X_i - X_j) for each row i and of
+            # sum_i wr_i k(X_j - X_i) for each source j, (unique, m, tile)
+            sides = []
+            for own, other, size in ((ii, j0 + jj, i1 - i0), (jj, i0 + ii, j1 - j0)):
+                t = []
+                for a in wr:
+                    a = np.take(a, other, -1)[:, None]  # (length, 1, m, pairs)
+                    if len(a) == 1:  # constant weights
+                        t.append(k[:, None] * a[0])
+                    else:
+                        t.append(mul_step(kept[:, :, None], a, n))
+                t = np.concatenate(t, axis=1)
+                sides.append(
+                    np.array([[np.bincount(own, v, size) for v in c] for c in t])
+                )
+            return sides[0], parity[:, None, None] * sides[1]
 
-        parts = _run_chunks(chunk_rhs, n_pts, threads, budget=rows * n_pts)
-        u_n = np.concatenate([p[0] for p in parts], axis=1)  # (d, N)
-        xj[n + 1] = u_n.T / (n + 1)
+        # a budget of one row per chunk makes each unit a chunk; the partial
+        # sums are added in unit order, so the result does not depend on the
+        # thread count
+        parts = _run_chunks(
+            lambda c: unit_sums(c[0]), len(units), threads, budget=len(units)
+        )
+        total = np.zeros((unique, sum(a.shape[1] for a in wr), n_pts))
+        for ((i0, i1), (j0, j1)), (rows_sum, source_sum) in zip(units, parts):
+            total[..., i0:i1] += rows_sum
+            total[..., j0:j1] += source_sum
+        s = layout.expand(total[:, 0])
+        xj[n + 1] = s[:d].T / (n + 1)
 
         if need_g:
-            m_n = np.moveaxis(np.concatenate([p[1] for p in parts], axis=2), 2, 0)
-            if not transported:
+            if transported:
+                # outer product with the transported-gradient jets
+                m_n = np.moveaxis(layout.expand(total[:, 1:])[d:], 2, 0)
+            else:
+                m_n = np.moveaxis(s[d:].reshape(d, d, -1), 2, 0)
                 # local rotation by half the vorticity; a constant is a
                 # one-coefficient jet
                 r = np.atleast_2d(rho)

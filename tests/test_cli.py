@@ -314,6 +314,31 @@ def test_simulate_deterministic_across_threads_and_reruns(tmp_path):
     assert blobs["a"] == blobs["b"] == blobs["c"] == blobs["a2"]
 
 
+def test_taylor_coincident_particles_exit_3(tmp_path, monkeypatch, capsys):
+    # two particles of the last jet work unit share a position
+    build = cli.build_run
+
+    def coincident(config):
+        state, spec = build(config)
+        positions = state.positions.copy()
+        positions[-1] = positions[-2]
+        return state.replace(positions=positions), spec
+
+    monkeypatch.setattr(cli, "build_run", coincident)
+    monkeypatch.setattr(taylor, "JET_BLOCK_PAIRS", 16)  # 3 tiles of 3: 6 units
+    cfg = {
+        "model": "ipm",
+        "scenario": "ipm_bubble",
+        "grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 3},
+        "integrator": {**_TAYLOR, "taylor_order": 4},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--threads", "2", "taylor", "--config", str(path)]) == 3
+    assert "zero displacement" in capsys.readouterr().err
+
+
 def test_taylor_command_summary_fields(tmp_path):
     cfg = {
         "model": "sqg",
@@ -396,6 +421,10 @@ def test_verify_kernels_exit_codes(tmp_path, capsys):
     # with nan**0 == 1 a NaN constant would pass order 0 of every envelope
     assert main(["verify-kernels", "--ck", "nan"]) == 2
     assert main(["verify-kernels", "--ck", "inf"]) == 2
+    # numpy refuses a negative seed; a huge sample count exhausts memory
+    assert main(["verify-kernels", "--seed", "-1"]) == 2
+    too_many = str(cli.MAX_KERNEL_SAMPLES + 1)
+    assert main(["verify-kernels", "--samples", too_many]) == 2
 
 
 def test_verify_kernels_report_is_byte_stable(tmp_path):

@@ -298,3 +298,26 @@ def test_regularize_far_field_unchanged():
     np.testing.assert_allclose(
         reg.evaluate(y), sqg_velocity_kernel().evaluate(y), rtol=1e-14
     )
+
+
+@pytest.mark.parametrize("model", ["sqg", "euler2d", "euler3d"])
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+def test_catalog_components_have_one_parity(model, delta):
+    """K(-y) = parity K(y) for every component the jet route streams."""
+    entry = catalog(model)
+    y = bound_samples(64, entry.velocity_kernel.dim, seed=2)
+    for expr in (entry.velocity_kernel, entry.gradient_kernel):
+        if delta:
+            expr = regularize(expr, delta)
+        for comp in expr.comps:
+            assert comp.parity in (1, -1)
+            assert np.array_equal(comp.evaluate(-y), comp.parity * comp.evaluate(y))
+
+
+def test_mixed_parity_has_none():
+    def t(mono):
+        return KernelTerm(Fraction(1), 0, mono, 2, Fraction(0))
+
+    assert ScalarKernel.build(2, [t((1, 0)), t((0, 1))]).parity == -1
+    assert ScalarKernel.build(2, [t((1, 0)), t((0, 0))]).parity is None
+    assert ScalarKernel.zero(2).parity == 1

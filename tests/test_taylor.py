@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ import pytest
 from lagpaths import taylor
 from lagpaths.dynamics import (
     MODELS,
+    ROT90,
     ModelSpec,
     ScalarField,
+    _brackets_2d,
+    _run_chunks,
     init_grid,
     rk4_step,
     velocity,
 )
-from lagpaths.errors import ConfigError
-from lagpaths.jets import Jet
+from lagpaths.errors import ConfigError, SingularEvaluationError
+from lagpaths.jets import Jet, KernelStream, mul_step
+from lagpaths.kernels import catalog
 from lagpaths.scenarios import (
     corotation_closed_form,
     gaussian_field,
@@ -312,23 +317,35 @@ def test_compiled_recurrence_as_python_matches_generic_route(scenario):
     assert np.max(np.abs(xj - generic.x_coeffs) / scale) < 1e-12
 
 
-def test_gradient_jets_threaded_bitwise_identical():
-    # 40^2 particles at order 4 split into several pair chunks, so the
-    # generic (gradient-carrying) route genuinely distributes work
+def _units_for(monkeypatch, n, side, count):
+    """Set JET_BLOCK_PAIRS to tiles of ``side`` particles; check the count."""
+    monkeypatch.setattr(taylor, "JET_BLOCK_PAIRS", side * side)
+    assert len(taylor._pair_units(n)) == count
+    return count
+
+
+def test_gradient_jets_threaded_bitwise_identical(monkeypatch):
+    # 40^2 particles at order 4 in 10 tiles, 55 units: neither 2 nor 3
+    # threads get equal shares, so the partial sums finish out of order
     state, spec = sqg_bump(n_per_axis=40)
+    _units_for(monkeypatch, state.n, 160, 55)
     j1 = time_jets_fast(spec, state, 4, with_gradients=True, threads=1)
-    j2 = time_jets_fast(spec, state, 4, with_gradients=True, threads=2)
-    assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
-    assert np.array_equal(j1.g_coeffs, j2.g_coeffs)
+    for threads in (2, 3):
+        jt = time_jets_fast(spec, state, 4, with_gradients=True, threads=threads)
+        assert j1.x_coeffs.tobytes() == jt.x_coeffs.tobytes()
+        assert j1.g_coeffs.tobytes() == jt.g_coeffs.tobytes()
 
 
-def test_ipm_gradient_jets_threaded_bitwise_identical():
-    # the density-jet route: 24^2 particles split into several pair blocks
+def test_ipm_gradient_jets_threaded_bitwise_identical(monkeypatch):
+    # the density-jet route: 24^2 particles in tiles of 58 (a short last
+    # one of 54), 55 units
     state, spec = ipm_bubble(n_per_axis=24)
+    _units_for(monkeypatch, state.n, 58, 55)
     j1 = time_jets_fast(spec, state, 4, with_gradients=True, threads=1)
-    j2 = time_jets_fast(spec, state, 4, with_gradients=True, threads=2)
-    assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
-    assert np.array_equal(j1.g_coeffs, j2.g_coeffs)
+    for threads in (2, 3):
+        jt = time_jets_fast(spec, state, 4, with_gradients=True, threads=threads)
+        assert j1.x_coeffs.tobytes() == jt.x_coeffs.tobytes()
+        assert j1.g_coeffs.tobytes() == jt.g_coeffs.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -343,6 +360,189 @@ def test_cached_and_rebuilt_pair_blocks_bitwise_equal(monkeypatch, scenario, ord
     rebuilt = time_jets_fast(spec, state, order, with_gradients=True, threads=2)
     assert cached.x_coeffs.tobytes() == rebuilt.x_coeffs.tobytes()
     assert cached.g_coeffs.tobytes() == rebuilt.g_coeffs.tobytes()
+
+
+def _row_block_jets(spec, state, order, with_gradients):
+    """The generic route before the pair-once units, as the reference: row
+    blocks of every row i against all N sources, so each pair is streamed
+    twice, and the self pairs get a dummy displacement that is zeroed."""
+    model = MODELS[spec.model]
+    need_g = with_gradients or not model.closed
+    entry = catalog(spec.model)
+    comps = taylor._regularized(spec, entry.velocity_kernel).comps
+    if need_g:
+        comps += taylor._regularized(spec, entry.gradient_kernel).comps
+    transported = model.radial_power == 3
+    keep = need_g and (transported or not model.closed)
+    d, n_pts, w = state.dim, state.n, state.weights
+    rows = -(-n_pts // -(-n_pts * n_pts // 2**15))
+    blocks = {}
+    xj = np.zeros((order + 1, n_pts, d))
+    xj[0] = state.positions
+    gj = m_hist = None
+    if need_g:
+        gj = np.zeros((order + 1, n_pts, d, d))
+        gj[0] = state.grads
+        m_hist = np.zeros((order, n_pts, d, d))
+    rho = model.density(state) if model.closed else None
+
+    for n in range(order):
+        if need_g:
+            g_state = state.replace(grads=gj[: n + 1])
+            if not model.closed:
+                rho = model.density(g_state)
+            if transported:
+                b1, b2 = _brackets_2d(g_state)
+                vj = np.stack([b2, -b1], axis=1)
+
+        def chunk_rhs(rng):
+            i0, i1 = rng
+            xt = np.ascontiguousarray(np.moveaxis(xj[: n + 1], 2, 1))
+            y = xt[:, :, i0:i1, None] - xt[:, :, None, :]
+            mask = np.zeros(y.shape[2:], dtype=bool)
+            mask[np.arange(i1 - i0), np.arange(i0, i1)] = True
+            y[0, 0][mask] = 1.0
+            stream, kept = blocks.setdefault(rng, (KernelStream(comps), []))
+            while stream.n <= n:
+                k = stream.push(y)
+                k[..., mask] = 0.0
+                if keep:
+                    kept.append(k)
+            if rho.ndim == 1:
+                s = np.einsum("...j,j->...", k, w * rho)
+            else:
+                s = np.einsum("...j,j->...", mul_step(kept, rho, n), w)
+            s = stream.expand(s)
+            if not need_g:
+                return s, None
+            if transported:
+                v = mul_step([h[:, None] for h in kept], vj[:, None, :, None, :], n)
+                return s[:d], stream.expand(np.einsum("...j,j->...", v, w))[d:]
+            return s[:d], s[d:].reshape(d, d, -1)
+
+        parts = _run_chunks(chunk_rhs, n_pts, 1, budget=rows * n_pts)
+        xj[n + 1] = np.concatenate([p[0] for p in parts], axis=1).T / (n + 1)
+        if need_g:
+            m_n = np.moveaxis(np.concatenate([p[1] for p in parts], axis=2), 2, 0)
+            if not transported:
+                r = np.atleast_2d(rho)
+                if n < len(r):
+                    m_n += 0.5 * r[n][:, None, None] * ROT90
+            m_hist[n] = m_n
+            g_n = np.zeros((n_pts, d, d))
+            for a in range(d):
+                for c in range(d):
+                    acc = np.zeros(n_pts)
+                    for k in range(d):
+                        acc += mul_step(m_hist[:, :, a, k], gj[:, :, k, c], n)
+                    g_n[:, a, c] = acc
+            gj[n + 1] = g_n / (n + 1)
+    return xj, gj
+
+
+def _euler2d_grid(n_per_axis):
+    state = init_grid(
+        ((-2.0, 2.0), (-2.0, 2.0)), n_per_axis, gamma_data=gaussian_field(1.0, 0.6)
+    )
+    return state, ModelSpec("euler2d", 0.8)
+
+
+_UNIT_CASES = {
+    "sqg": (lambda: sqg_bump(n_per_axis=7), False),
+    "sqg_grad": (lambda: sqg_bump(n_per_axis=7), True),
+    "ipm": (lambda: ipm_bubble(n_per_axis=7), True),
+    "euler2d_grad": (lambda: _euler2d_grid(7), True),
+}
+
+
+def _assert_orders_close(got, ref):
+    """Each order within 1e-13 of the largest |coefficient| of that order."""
+    for n in range(len(ref)):
+        scale = np.max(np.abs(ref[n]))
+        assert np.max(np.abs(got[n] - ref[n])) <= 1e-13 * scale, n
+
+
+@pytest.mark.parametrize("tiles", [1, 5], ids=["one_unit", "15_units"])
+@pytest.mark.parametrize("regularized", [True, False], ids=["delta", "no_delta"])
+@pytest.mark.parametrize("case", list(_UNIT_CASES))
+def test_pair_units_match_row_block_loop(monkeypatch, case, regularized, tiles):
+    scenario, with_g = _UNIT_CASES[case]
+    state, spec = scenario()
+    if not regularized:
+        spec = ModelSpec(spec.model, 0.0)
+    # one step in (G != I) with uneven weights
+    state = rk4_step(spec, state, 0.05)
+    weights = state.weights * np.random.default_rng(3).uniform(0.5, 1.5, state.n)
+    state = state.replace(weights=weights)
+    # 49 particles: one tile, or four of 10 and a short last one of 9
+    _units_for(monkeypatch, state.n, 10 if tiles > 1 else 49, tiles * (tiles + 1) // 2)
+    order = 6
+    xj, gj = _row_block_jets(spec, state, order, with_g)
+    for threads in (1, 2):
+        jets = time_jets_fast(
+            spec, state, order, with_gradients=with_g, threads=threads,
+            use_compiled=False,
+        )
+        _assert_orders_close(jets.x_coeffs, xj)
+        if gj is not None:
+            _assert_orders_close(jets.g_coeffs, gj)
+
+
+def test_each_pair_is_pushed_once(monkeypatch):
+    # a random cloud, so every displacement names its pair
+    state, spec = seeded_sqg_cloud(n_particles=30)
+    _units_for(monkeypatch, state.n, 8, 10)  # tiles of 8 and a last one of 6
+    pushed = {}
+    push = KernelStream.push
+
+    def spy(stream, y):
+        pushed.setdefault(stream.n, []).append(y[0].T.copy())
+        return push(stream, y)
+
+    monkeypatch.setattr(KernelStream, "push", spy)
+    order = 5
+    time_jets_fast(spec, state, order, with_gradients=True, use_compiled=False)
+    i, j = np.triu_indices(state.n, k=1)
+    pairs = state.positions[i] - state.positions[j]
+    assert sorted(pushed) == list(range(order))
+    for n in range(order):
+        assert sum(len(y) for y in pushed[n]) == len(pairs), n
+    got = np.concatenate(pushed[0])
+    assert np.array_equal(got[np.lexsort(got.T)], pairs[np.lexsort(pairs.T)])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_coincident_particles_in_a_later_unit_raise(monkeypatch, threads):
+    state, spec = ipm_bubble(n_per_axis=7)
+    positions = state.positions.copy()
+    positions[-1] = positions[-2]  # a pair of the last unit
+    _units_for(monkeypatch, state.n, 10, 15)
+    with pytest.raises(SingularEvaluationError):
+        time_jets_fast(
+            spec, state.replace(positions=positions), 4, with_gradients=True,
+            threads=threads,
+        )
+
+
+def test_readme_history_bytes():
+    """The per-pair table and the example in README "Jet routes"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {
+        "X only (`euler2d`, `sqg`)": ("sqg", False),
+        "`sqg` with gradient jets": ("sqg", True),
+        "`euler2d` with gradient jets": ("euler2d", True),
+        "`ipm`": ("ipm", True),
+    }
+    for label, (model, with_g) in rows.items():
+        counts = [
+            taylor.history_arrays(ModelSpec(model, delta), with_g)
+            for delta in (0.0, 0.1)
+        ]
+        assert f"| {label} | {counts[0]} / {counts[1]} " in readme, label
+    n, order = 256, 8
+    arrays = taylor.history_arrays(ModelSpec("ipm", 0.1), True)
+    mb = 8 * arrays * order * n * (n - 1) // 2 / 1e6
+    assert f"{n}-particle `ipm` expansion at order {order} keeps {mb:.0f} MB" in readme
 
 
 def _radius_per_particle_loop(jets):
