@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,8 +65,8 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
         raise ConfigError("max_n must be >= 1")
     if max_n > 15:
         raise ConfigError("multivariate identities are capped at max_n = 15")
-    if any(d not in (1, 2, 3) for d in dims):
-        raise ConfigError("dims must be a subset of {1, 2, 3}")
+    if not dims or any(d not in (1, 2, 3) for d in dims) or len(set(dims)) < len(dims):
+        raise ConfigError("dims must list distinct values from {1, 2, 3}")
     cases, info = [], []
 
     for j in range(2, 31):
@@ -150,23 +150,51 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
     return VerificationReport("identities", cases, info)
 
 
-KERNEL_BOUND_CHECKS = (
-    # (label, expr builder, power offset, gaussian decay in the envelope)
-    ("sqg_inner", lambda: kernels.split_gaussian(kernels.sqg_velocity_kernel())[0], 2, True),
-    ("sqg_outer", lambda: kernels.split_gaussian(kernels.sqg_velocity_kernel())[1], 0, False),
-    ("sqg_stream_part", lambda: kernels.decompose_kin("sqg")[0], 1, True),
-    ("sqg_bounded_part", lambda: kernels.decompose_kin("sqg")[1], 0, True),
-    ("strain2d_inner", lambda: kernels.split_gaussian(kernels.strain_2d_kernel())[0], 2, True),
-    ("strain2d_outer", lambda: kernels.split_gaussian(kernels.strain_2d_kernel())[1], 0, False),
-    ("biot_savart_inner", lambda: kernels.split_gaussian(kernels.biot_savart_2d_kernel())[0], 1, True),
-    ("biot_savart_outer", lambda: kernels.split_gaussian(kernels.biot_savart_2d_kernel())[1], 0, False),
-)
-
 CIRCLE_MEAN_KERNELS = (
     ("sqg", kernels.sqg_velocity_kernel),
     ("biot_savart_2d", kernels.biot_savart_2d_kernel),
     ("strain_2d", kernels.strain_2d_kernel),
 )
+
+KERNEL_BOUND_CHECKS = (
+    # (label, kernel name in suite_kernels, power offset, gaussian decay in
+    # the envelope)
+    ("sqg_inner", "sqg_inner", 2, True),
+    ("sqg_outer", "sqg_outer", 0, False),
+    ("sqg_stream_part", "sqg_stream_part", 1, True),
+    ("sqg_bounded_part", "sqg_bounded_part", 0, True),
+    ("strain2d_inner", "strain_2d_inner", 2, True),
+    ("strain2d_outer", "strain_2d_outer", 0, False),
+    ("biot_savart_inner", "biot_savart_2d_inner", 1, True),
+    ("biot_savart_outer", "biot_savart_2d_outer", 0, False),
+)
+
+
+def suite_kernels() -> dict[str, tuple[kernels.KernelExpr, Callable]]:
+    """Every 2D kernel of the kernel suite, each built once, by name.
+
+    Maps a name to (kernel, alpha -> d^alpha kernel).  Each catalog kernel
+    of CIRCLE_MEAN_KERNELS comes whole and as the parts of its Gaussian
+    split, "<name>_inner" and "<name>_outer".  An outer part's derivatives
+    are the whole kernel's minus the inner part's: the canonical form is
+    unique, so these are the terms that deriving the outer part gives, and
+    the inner part's derivatives are already made for its own check.  Then
+    the stream-function split of the localized SQG kernel.
+    """
+    out = {}
+    for name, build in CIRCLE_MEAN_KERNELS:
+        expr = build()
+        inner, outer = kernels.split_gaussian(expr)
+        out[name] = (expr, expr.derive_multi)
+        out[f"{name}_inner"] = (inner, inner.derive_multi)
+        out[f"{name}_outer"] = (
+            outer,
+            lambda alpha, e=expr, i=inner: e.derive_multi(alpha) - i.derive_multi(alpha),
+        )
+    stream, bounded = kernels.decompose_kin("sqg")
+    out["sqg_stream_part"] = (stream, stream.derive_multi)
+    out["sqg_bounded_part"] = (bounded, bounded.derive_multi)
+    return out
 
 
 def run_kernel_suite(
@@ -183,9 +211,11 @@ def run_kernel_suite(
         raise ConfigError("c_k must be positive and finite")
     cases, info = [], []
     pts = kernels.bound_samples(samples, 2, seed=seed)
-    for label, build, offset, gauss in KERNEL_BOUND_CHECKS:
+    built = suite_kernels()
+    for label, name, offset, gauss in KERNEL_BOUND_CHECKS:
+        expr, derive = built[name]
         rep = kernels.verify_derivative_bound(
-            build(), c_k, offset, max_order, pts, gaussian_decay=gauss
+            expr, c_k, offset, max_order, pts, gaussian_decay=gauss, derive=derive
         )
         cases.append(
             {
@@ -201,10 +231,9 @@ def run_kernel_suite(
             }
         )
 
-    for name, build in CIRCLE_MEAN_KERNELS:
-        expr = build()
-        inner, outer = kernels.split_gaussian(expr)
-        for tag, e in (("", expr), ("_inner", inner), ("_outer", outer)):
+    for name, _ in CIRCLE_MEAN_KERNELS:
+        for tag in ("", "_inner", "_outer"):
+            e = built[name + tag][0]
             worst = 0.0
             for radius in (0.5, 1.0, 2.0):
                 mean = kernels.circle_mean(e, radius, 64)

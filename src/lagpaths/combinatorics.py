@@ -1,8 +1,9 @@
 """Exact combinatorics for high derivatives of compositions.
 
-Everything here is computed in arbitrary-precision rational arithmetic
-(`fractions.Fraction`); floating point is deliberately not used, so that the
-identity checks are exact claims rather than approximations.
+Everything here is exact; floating point is deliberately not used, so that
+the identity checks are exact claims rather than approximations.  The
+identity sums run on Python integers over one common denominator per call
+and return reduced `fractions.Fraction` values.
 
 The central objects are the partition sets indexing Faa di Bruno expansions:
 
@@ -22,11 +23,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Mapping, NamedTuple, Sequence
-
-# Exact rational scalar used throughout this module.
-BigRational = Fraction
 
 MultiIndex = tuple[int, ...]
 
@@ -79,6 +77,19 @@ def multi_indices_up_to(n: int, d: int) -> list[MultiIndex]:
     return out
 
 
+def _half_binomial(j: int) -> tuple[int, int]:
+    """(1/2 choose j) as integers (num, den), with (1/2 choose 0) = -1.
+
+    For j >= 1, (1/2 choose j) = (-1)**(j-1) * C(2j, j) / (4**j * (2j - 1));
+    the pair is not reduced.
+    """
+    if j < 0:
+        raise ValueError("j must be a non-negative integer")
+    if j == 0:
+        return -1, 1
+    return sign_pow(j - 1) * comb(2 * j, j), 4**j * (2 * j - 1)
+
+
 @lru_cache(maxsize=None)
 def binomial_half(j: int) -> Fraction:
     """Half-integer binomial (1/2 choose j), with (1/2 choose 0) = -1.
@@ -86,14 +97,29 @@ def binomial_half(j: int) -> Fraction:
     The nonstandard value at j = 0 makes (-1)**(j-1) * binomial_half(j) >= 0
     for every j >= 0, which is what the signed partition sums below rely on.
     """
-    if j < 0:
-        raise ValueError("j must be a non-negative integer")
-    if j == 0:
-        return Fraction(-1)
-    num = Fraction(1)
-    for i in range(j):
-        num *= Fraction(1, 2) - i
-    return num / factorial(j)
+    return Fraction(*_half_binomial(j))
+
+
+def _exact_div(num: int, den: int) -> int:
+    """num / den for a den known to divide num."""
+    quot, rest = divmod(num, den)
+    assert rest == 0, f"{den} does not divide {num}"
+    return quot
+
+
+def _partition_denominator(n: int) -> int:
+    """4**n * n! * prod_{l <= n} (2l - 1)**(n // l).
+
+    A common denominator of every term of the order-n partition sums below.
+    A term is a product of (1/2 choose l)**m over pairs with sum(l * m) = n,
+    divided by factorials of parts of the m.  So its 4**l factors multiply
+    to 4**n; each l appears once with m <= n // l; and the factorials divide
+    (sum m)!, which divides n! (a multinomial coefficient is an integer).
+    """
+    den = 4**n * factorial(n)
+    for l in range(1, n + 1):
+        den *= (2 * l - 1) ** (n // l)
+    return den
 
 
 def double_factorial(m: int) -> int:
@@ -284,17 +310,18 @@ def magic_identity_1d(n: int) -> tuple[Fraction, Fraction, bool]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    lhs = Fraction(0)
+    den = _partition_denominator(n)
+    half = [_half_binomial(j) for j in range(n + 1)]
+    total = 0
     for k in range(1, n + 1):
         for part in enumerate_partitions_1d(n, k):
-            weight = Fraction((-1) ** k * factorial(k))
-            for kj in part.k:
-                weight /= factorial(kj)
-            term = weight
+            num, part_den = sign_pow(k) * factorial(k), 1
             for j, kj in enumerate(part.k, start=1):
                 if kj:
-                    term *= binomial_half(j) ** kj
-            lhs += term
+                    num *= half[j][0] ** kj
+                    part_den *= half[j][1] ** kj * factorial(kj)
+            total += num * _exact_div(den, part_den)
+    lhs = Fraction(total, den)
     rhs = 2 * (n + 1) * binomial_half(n + 1)
     return lhs, rhs, lhs == rhs
 
@@ -311,20 +338,43 @@ def magic_identity_multi(
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    lhs = Fraction(0)
+    den = _partition_denominator(n)
+    half = [_half_binomial(l) for l in range(n + 1)]
+    total = 0
     for alpha, partitions in partitions_by_alpha(n, d).items():
         order = mi_order(alpha)
-        outer = Fraction((-1) ** order * factorial(order))
-        inner = Fraction(0)
+        inner = 0
         for part in partitions:
-            term = Fraction(1)
+            num, part_den = 1, 1
             for k, l in zip(part.ks, part.ls):
-                term *= binomial_half(l) ** mi_order(k)
-                term /= mi_factorial(k)
-            inner += term
-        lhs += outer * inner
+                m = mi_order(k)
+                num *= half[l][0] ** m
+                part_den *= half[l][1] ** m * mi_factorial(k)
+            inner += num * _exact_div(den, part_den)
+        total += sign_pow(order) * factorial(order) * inner
+    lhs = Fraction(total, den)
     rhs = 2 * (n + 1) * binomial_half(n + 1)
     return lhs, rhs, lhs / rhs
+
+
+def _series_pair(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(a_m, b_m) of `series_coefficients` as integer (num, den) pairs."""
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    num, den = _half_binomial(m + 1)
+    a_m = (2 * (m + 1) * sign_pow(m) * num, den)
+    num, den = _half_binomial(m)
+    return a_m, (sign_pow(m - 1) * num, den)
+
+
+def _series_numerators(n: int) -> list[tuple[list[int], int]]:
+    """a_0..a_n and b_0..b_n, each series as integer numerators over its
+    least common denominator: [(a numerators, den), (b numerators, den)]."""
+    out = []
+    for pairs in zip(*map(_series_pair, range(n + 1))):
+        den = lcm(*(d for _, d in pairs))
+        out.append(([num * (den // d) for num, d in pairs], den))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -334,11 +384,8 @@ def series_coefficients(m: int) -> tuple[Fraction, Fraction]:
     a_m = 2*(m+1)*(-1)**m*(1/2 choose m+1) generates (1-t)**(-1/2);
     b_m = (-1)**(m-1)*(1/2 choose m) generates 2-(1-t)**(1/2).
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    a_m = 2 * (m + 1) * sign_pow(m) * binomial_half(m + 1)
-    b_m = sign_pow(m - 1) * binomial_half(m)
-    return a_m, b_m
+    a_m, b_m = _series_pair(m)
+    return Fraction(*a_m), Fraction(*b_m)
 
 
 def S_n_identity(n: int) -> tuple[Fraction, Fraction, bool, bool]:
@@ -350,13 +397,12 @@ def S_n_identity(n: int) -> tuple[Fraction, Fraction, bool, bool]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    triple = Fraction(0)
+    (a, a_den), (b, b_den) = _series_numerators(n)
+    total = 0
     for r in range(n + 1):
         for m in range(r + 1):
-            a_m, _ = series_coefficients(m)
-            _, b_rm = series_coefficients(r - m)
-            _, b_nr = series_coefficients(n - r)
-            triple += a_m * b_rm * b_nr
+            total += a[m] * b[r - m] * b[n - r]
+    triple = Fraction(total, a_den * b_den * b_den)
     closed = (
         Fraction(16 * n - 10, 2 * n - 1)
         * (n + 1)
@@ -377,11 +423,9 @@ def convolution_identity(m: int) -> tuple[Fraction, Fraction, bool]:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    lhs = Fraction(0)
-    for i in range(m + 1):
-        a_i, _ = series_coefficients(i)
-        _, b_mi = series_coefficients(m - i)
-        lhs += a_i * b_mi
+    (a, a_den), (b, b_den) = _series_numerators(m)
+    total = sum(a[i] * b[m - i] for i in range(m + 1))
+    lhs = Fraction(total, a_den * b_den)
     rhs = 4 * (-1) ** m * (m + 1) * binomial_half(m + 1)
     return lhs, rhs, lhs == rhs
 

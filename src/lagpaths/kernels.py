@@ -8,8 +8,10 @@ it, to any order) is a finite sum of terms of the form
 with exact rational ``coeff`` and ``grate``.  The class of such sums is
 closed under partial differentiation, so arbitrary-order derivatives needed
 by the bound verification and by the Faa di Bruno oracle are exact term
-rewrites, never finite differences.  Pi is carried symbolically; floats only
-appear in ``evaluate``.
+rewrites, never finite differences.  A kernel holds its coefficients as
+integers over one denominator, so a rewrite is integer arithmetic.  Pi is
+carried symbolically; floats only appear in ``KernelTerm.coeff_float`` and
+``evaluate``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,56 +38,68 @@ class KernelTerm:
     rpow: int
     grate: Fraction
 
-    def key(self):
-        return (self.mono, self.rpow, self.grate, self.pi_pow)
-
     def coeff_float(self) -> float:
         return float(self.coeff) * math.pi**self.pi_pow
 
 
-def _canonical(terms: Iterable[KernelTerm]) -> tuple[KernelTerm, ...]:
+# A kernel stores each term as a row (mono, rpow, grate index, pi_pow, num):
+# its sort key, with the Gaussian rate given by its index in the kernel's
+# ascending rates, then its integer coefficient over the kernel's
+# denominator.
+Row = tuple[MultiIndex, int, int, int, int]
+
+
+def _canonical(
+    dim: int, rows: Iterable[Row], den: int, grates: tuple[Fraction, ...]
+) -> "ScalarKernel":
     """Normal form: last-axis monomial power < 2, then merge equal keys.
 
     Monomials are reduced modulo the relation y_d**2 = |y|**2 - sum_{i<d} y_i**2,
     which makes representations unique; without it, equal expressions such as
     the strain entries written with '|y|**2' absorbed or expanded would not
-    compare equal term by term.
+    compare equal term by term.  The rows come out sorted with nonzero
+    numerators, only the rates they use are kept, and the denominator is
+    reduced by the gcd of all numerators, so equal kernels have equal fields.
     """
-    work = list(terms)
-    reduced: list[KernelTerm] = []
+    work = list(rows)
+    merged: dict[tuple, int] = {}
     while work:
-        t = work.pop()
-        if t.mono and t.mono[-1] >= 2:
-            mono = list(t.mono)
-            mono[-1] -= 2
-            work.append(
-                KernelTerm(t.coeff, t.pi_pow, tuple(mono), t.rpow - 2, t.grate)
-            )
-            for i in range(len(mono) - 1):
-                other = list(mono)
-                other[i] += 2
-                work.append(
-                    KernelTerm(-t.coeff, t.pi_pow, tuple(other), t.rpow, t.grate)
-                )
+        mono, rpow, g, pi_pow, num = work.pop()
+        if mono and mono[-1] >= 2:
+            low = mono[:-1] + (mono[-1] - 2,)
+            work.append((low, rpow - 2, g, pi_pow, num))
+            for i in range(len(low) - 1):
+                up = low[:i] + (low[i] + 2,) + low[i + 1:]
+                work.append((up, rpow, g, pi_pow, -num))
         else:
-            reduced.append(t)
-    merged: dict[tuple, Fraction] = {}
-    for t in reduced:
-        merged[t.key()] = merged.get(t.key(), Fraction(0)) + t.coeff
-    out = [
-        KernelTerm(c, k[3], k[0], k[1], k[2])
-        for k, c in sorted(merged.items())
-        if c != 0
-    ]
-    return tuple(out)
+            key = (mono, rpow, g, pi_pow)
+            merged[key] = merged.get(key, 0) + num
+    keys = sorted(k for k, num in merged.items() if num)
+    used = sorted({k[2] for k in keys})
+    if len(used) < len(grates):
+        index = {g: i for i, g in enumerate(used)}
+        grates = tuple(grates[g] for g in used)
+        merged = {(m, r, index[g], p): merged[m, r, g, p] for m, r, g, p in keys}
+        keys = list(merged)
+    divisor = math.gcd(den, *(merged[k] for k in keys)) if keys else den
+    out = tuple(k + (merged[k] // divisor,) for k in keys)
+    return ScalarKernel(dim, out, den // divisor, grates)
 
 
 @dataclass(frozen=True)
 class ScalarKernel:
-    """One scalar component: a canonical sum of KernelTerms over R^dim."""
+    """One scalar component: a canonical sum of terms over R^dim.
+
+    The terms are kept as integer ``rows`` over the common denominator
+    ``den``, with Gaussian rates from ``grates`` (see ``Row``), so that
+    derivatives and sums are integer arithmetic; ``terms`` gives them as
+    exact ``KernelTerm``s.
+    """
 
     dim: int
-    terms: tuple[KernelTerm, ...]
+    rows: tuple[Row, ...]
+    den: int = 1
+    grates: tuple[Fraction, ...] = ()
     # derive_multi's results by multi-index; not part of the value
     _derived: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -93,69 +107,87 @@ class ScalarKernel:
 
     @staticmethod
     def build(dim: int, terms: Iterable[KernelTerm]) -> "ScalarKernel":
-        return ScalarKernel(dim, _canonical(terms))
+        terms = list(terms)
+        grates = tuple(sorted({Fraction(t.grate) for t in terms}))
+        index = {q: g for g, q in enumerate(grates)}
+        den = math.lcm(*(t.coeff.denominator for t in terms))
+        rows = [
+            (
+                t.mono,
+                t.rpow,
+                index[t.grate],
+                t.pi_pow,
+                t.coeff.numerator * (den // t.coeff.denominator),
+            )
+            for t in terms
+        ]
+        return _canonical(dim, rows, den, grates)
 
     @staticmethod
     def zero(dim: int) -> "ScalarKernel":
         return ScalarKernel(dim, ())
 
+    @cached_property
+    def terms(self) -> tuple[KernelTerm, ...]:
+        """The terms in canonical order, with exact coefficients."""
+        return tuple(
+            KernelTerm(Fraction(num, self.den), pi_pow, mono, rpow, self.grates[g])
+            for mono, rpow, g, pi_pow, num in self.rows
+        )
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     @property
     def parity(self) -> Optional[int]:
         """s in K(-y) = s K(y): 1 when every term's monomial degree is even,
         -1 when every one is odd, None for a mix."""
-        signs = {(-1) ** sum(t.mono) for t in self.terms} or {1}
+        signs = {(-1) ** sum(row[0]) for row in self.rows} or {1}
         return signs.pop() if len(signs) == 1 else None
 
+    def _rebased(self, den: int, grates: tuple[Fraction, ...]) -> list[Row]:
+        """The rows over a multiple ``den`` of the denominator and a
+        superset ``grates`` of the rates."""
+        scale = den // self.den
+        index = [grates.index(q) for q in self.grates]
+        return [(m, r, index[g], p, num * scale) for m, r, g, p, num in self.rows]
+
     def __add__(self, other: "ScalarKernel") -> "ScalarKernel":
-        return ScalarKernel.build(self.dim, self.terms + other.terms)
+        den = math.lcm(self.den, other.den)
+        grates = tuple(sorted(set(self.grates) | set(other.grates)))
+        rows = self._rebased(den, grates) + other._rebased(den, grates)
+        return _canonical(self.dim, rows, den, grates)
 
     def __neg__(self) -> "ScalarKernel":
-        return ScalarKernel(
-            self.dim,
-            tuple(
-                KernelTerm(-t.coeff, t.pi_pow, t.mono, t.rpow, t.grate)
-                for t in self.terms
-            ),
-        )
+        rows = tuple((m, r, g, p, -num) for m, r, g, p, num in self.rows)
+        return ScalarKernel(self.dim, rows, self.den, self.grates)
 
     def __sub__(self, other: "ScalarKernel") -> "ScalarKernel":
         return self + (-other)
 
     def derive(self, axis: int) -> "ScalarKernel":
-        """Exact partial derivative along axis (0-based)."""
-        new: list[KernelTerm] = []
-        for t in self.terms:
+        """Exact partial derivative along axis (0-based).
+
+        The new denominator is the old one times the lcm of the rates'
+        denominators, so each rate's factor -2q is an integer over it.
+        """
+        scale = math.lcm(*(q.denominator for q in self.grates))
+        gauss = [-2 * q.numerator * (scale // q.denominator) for q in self.grates]
+        new: list[Row] = []
+        for mono, rpow, g, pi_pow, num in self.rows:
+            power = mono[axis]
+            up = mono[:axis] + (power + 1,) + mono[axis + 1:]
             # monomial power rule
-            if t.mono[axis] > 0:
-                mono = list(t.mono)
-                mono[axis] -= 1
-                new.append(
-                    KernelTerm(
-                        t.coeff * t.mono[axis], t.pi_pow, tuple(mono), t.rpow, t.grate
-                    )
-                )
+            if power:
+                down = mono[:axis] + (power - 1,) + mono[axis + 1:]
+                new.append((down, rpow, g, pi_pow, num * power * scale))
             # |y|**(-p) -> -p * y_axis * |y|**(-p-2)
-            if t.rpow != 0:
-                mono = list(t.mono)
-                mono[axis] += 1
-                new.append(
-                    KernelTerm(
-                        -t.coeff * t.rpow, t.pi_pow, tuple(mono), t.rpow + 2, t.grate
-                    )
-                )
+            if rpow:
+                new.append((up, rpow + 2, g, pi_pow, -num * rpow * scale))
             # exp(-q|y|**2) -> -2q * y_axis * exp(-q|y|**2)
-            if t.grate != 0:
-                mono = list(t.mono)
-                mono[axis] += 1
-                new.append(
-                    KernelTerm(
-                        -2 * t.grate * t.coeff, t.pi_pow, tuple(mono), t.rpow, t.grate
-                    )
-                )
-        return ScalarKernel.build(self.dim, new)
+            if gauss[g]:
+                new.append((up, rpow, g, pi_pow, num * gauss[g]))
+        return _canonical(self.dim, new, self.den * scale, self.grates)
 
     def derive_multi(self, alpha: MultiIndex) -> "ScalarKernel":
         """d^alpha of the kernel, one ``derive`` step from alpha minus its
@@ -172,22 +204,8 @@ class ScalarKernel:
         return out
 
     def times_gaussian(self, rate: Fraction) -> "ScalarKernel":
-        return ScalarKernel(
-            self.dim,
-            tuple(
-                KernelTerm(t.coeff, t.pi_pow, t.mono, t.rpow, t.grate + rate)
-                for t in self.terms
-            ),
-        )
-
-    def scaled(self, factor: Fraction, pi_shift: int = 0) -> "ScalarKernel":
-        return ScalarKernel.build(
-            self.dim,
-            (
-                KernelTerm(t.coeff * factor, t.pi_pow + pi_shift, t.mono, t.rpow, t.grate)
-                for t in self.terms
-            ),
-        )
+        grates = tuple(q + rate for q in self.grates)
+        return ScalarKernel(self.dim, self.rows, self.den, grates)
 
     def evaluate(self, y: np.ndarray) -> np.ndarray | float:
         """Evaluate at y != 0; y has shape (..., dim).
@@ -201,37 +219,39 @@ class ScalarKernel:
         r2 = np.sum(y * y, axis=-1)
         if np.any(r2 == 0.0):
             raise SingularEvaluationError("kernel evaluated at y = 0")
+        # the floats of KernelTerm.coeff_float: num / den is correctly rounded
+        coeffs = [num / self.den * math.pi**p for _, _, _, p, num in self.rows]
+        rates = [float(q) for q in self.grates]
         if y.ndim == 1:
             vals = []
             r = math.sqrt(float(r2))
-            for t in self.terms:
-                v = t.coeff_float()
-                for i, e in enumerate(t.mono):
+            for (mono, rpow, g, _, _), v in zip(self.rows, coeffs):
+                for i, e in enumerate(mono):
                     if e:
                         v *= float(y[i]) ** e
-                if t.rpow:
-                    v *= r ** (-t.rpow)
-                if t.grate:
-                    v *= math.exp(-float(t.grate) * r * r)
+                if rpow:
+                    v *= r ** (-rpow)
+                if rates[g]:
+                    v *= math.exp(-rates[g] * r * r)
                 vals.append(v)
             return math.fsum(vals)
         r = np.sqrt(r2)
         # each power, radial factor and Gaussian once per call, shared by terms
-        terms = self.terms
-        monos = {(i, e) for t in terms for i, e in enumerate(t.mono) if e}
+        rows = self.rows
+        monos = {(i, e) for row in rows for i, e in enumerate(row[0]) if e}
         powers = {(i, e): y[..., i] ** e for i, e in monos}
-        radial = {p: r ** (-float(p)) for p in {t.rpow for t in terms if t.rpow}}
-        gauss = {q: np.exp(-float(q) * r2) for q in {t.grate for t in terms if t.grate}}
+        radial = {p: r ** (-float(p)) for p in {row[1] for row in rows if row[1]}}
+        gauss = {g: np.exp(-rates[g] * r2) for g in range(len(rates)) if rates[g]}
         total = np.zeros(r2.shape)
-        for t in terms:
-            v = np.full(r2.shape, t.coeff_float())
-            for i, e in enumerate(t.mono):
+        for (mono, rpow, g, _, _), c in zip(rows, coeffs):
+            v = np.full(r2.shape, c)
+            for i, e in enumerate(mono):
                 if e:
                     v = v * powers[i, e]
-            if t.rpow:
-                v = v * radial[t.rpow]
-            if t.grate:
-                v = v * gauss[t.grate]
+            if rpow:
+                v = v * radial[rpow]
+            if rates[g]:
+                v = v * gauss[g]
             total += v
         return total
 
@@ -468,9 +488,8 @@ def split_gaussian(expr: KernelExpr) -> tuple[KernelExpr, KernelExpr]:
     The outer part is represented as the two term groups, so inner + outer
     reproduces expr identically after canonical cancellation.
     """
-    for c in expr.comps:
-        if any(t.grate != 0 for t in c.terms):
-            raise ValueError("split_gaussian expects a Gaussian-free expression")
+    if any(q for c in expr.comps for q in c.grates):
+        raise ValueError("split_gaussian expects a Gaussian-free expression")
     inner = expr.times_gaussian(Fraction(1))
     outer = expr - inner
     return inner, outer
@@ -522,6 +541,7 @@ def verify_derivative_bound(
     max_order: int,
     samples: np.ndarray,
     gaussian_decay: bool = True,
+    derive: Optional[Callable[[MultiIndex], KernelExpr]] = None,
 ) -> dict:
     """Worst-case ratio of |d^alpha expr| to the claimed derivative envelope.
 
@@ -532,7 +552,9 @@ def verify_derivative_bound(
 
     times exp(-|y|^2/2) when gaussian_decay is set.  Reports the worst ratio
     per order; the envelope holds on the sample set iff every ratio <= 1.
+    ``derive`` gives d^alpha expr; it defaults to ``expr.derive_multi``.
     """
+    derive = derive or expr.derive_multi
     samples = np.asarray(samples, dtype=float)
     r = np.linalg.norm(samples, axis=-1)
     worst: dict[int, float] = {}
@@ -541,7 +563,7 @@ def verify_derivative_bound(
         for alpha in itertools.product(range(order + 1), repeat=expr.dim):
             if sum(alpha) != order:
                 continue
-            deriv = expr.derive_multi(alpha)
+            deriv = derive(alpha)
             vals = deriv.evaluate(samples)
             mag = np.abs(vals).reshape(len(samples), -1).max(axis=1)
             envelope = (

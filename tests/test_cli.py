@@ -394,6 +394,10 @@ def test_verify_identities_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify-identities", "--max-n", "0"]) == 2
     assert main(["verify-identities", "--dims", "a,b"]) == 2
+    # no dimension would run no multivariate case; a repeated one would
+    # write its partition_sum_ratio entries twice
+    assert main(["verify-identities", "--dims", ""]) == 2
+    assert main(["verify-identities", "--dims", "2,2"]) == 2
 
 
 def test_verify_identities_report_is_byte_stable(tmp_path):

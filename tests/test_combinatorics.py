@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -26,6 +27,7 @@ from lagpaths.combinatorics import (
     multi_indices_up_to,
     partitions_by_alpha,
     series_coefficients,
+    sign_pow,
     truncated_series_product,
 )
 
@@ -479,3 +481,109 @@ def test_convolution_identity_examples():
     assert lhs == F(1)
     assert rhs == F(2)
     assert equal is False
+
+
+# -- the former Fraction implementations, kept as exact references ------------
+
+
+@lru_cache(maxsize=None)
+def _reference_binomial_half(j):
+    if j == 0:
+        return F(-1)
+    num = F(1)
+    for i in range(j):
+        num *= F(1, 2) - i
+    return num / factorial(j)
+
+
+@lru_cache(maxsize=None)
+def _reference_series_coefficients(m):
+    a_m = 2 * (m + 1) * sign_pow(m) * _reference_binomial_half(m + 1)
+    b_m = sign_pow(m - 1) * _reference_binomial_half(m)
+    return a_m, b_m
+
+
+def _reference_magic_identity_1d(n):
+    lhs = F(0)
+    for k in range(1, n + 1):
+        for part in enumerate_partitions_1d(n, k):
+            weight = F((-1) ** k * factorial(k))
+            for kj in part.k:
+                weight /= factorial(kj)
+            term = weight
+            for j, kj in enumerate(part.k, start=1):
+                if kj:
+                    term *= _reference_binomial_half(j) ** kj
+            lhs += term
+    rhs = 2 * (n + 1) * _reference_binomial_half(n + 1)
+    return lhs, rhs, lhs == rhs
+
+
+def _reference_magic_identity_multi(n, d):
+    lhs = F(0)
+    for alpha, partitions in partitions_by_alpha(n, d).items():
+        order = mi_order(alpha)
+        outer = F((-1) ** order * factorial(order))
+        inner = F(0)
+        for part in partitions:
+            term = F(1)
+            for k, l in zip(part.ks, part.ls):
+                term *= _reference_binomial_half(l) ** mi_order(k)
+                for ki in k:
+                    term /= factorial(ki)
+            inner += term
+        lhs += outer * inner
+    rhs = 2 * (n + 1) * _reference_binomial_half(n + 1)
+    return lhs, rhs, lhs / rhs
+
+
+def _reference_S_n_identity(n):
+    triple = F(0)
+    for r in range(n + 1):
+        for m in range(r + 1):
+            a_m, _ = _reference_series_coefficients(m)
+            _, b_rm = _reference_series_coefficients(r - m)
+            _, b_nr = _reference_series_coefficients(n - r)
+            triple += a_m * b_rm * b_nr
+    closed = (
+        F(16 * n - 10, 2 * n - 1) * (n + 1) * (-1) ** n
+        * _reference_binomial_half(n + 1)
+    )
+    bound = 8 * (n + 1) * (-1) ** n * _reference_binomial_half(n + 1)
+    return triple, closed, triple == closed, triple <= bound
+
+
+def _reference_convolution_identity(m):
+    lhs = F(0)
+    for i in range(m + 1):
+        a_i, _ = _reference_series_coefficients(i)
+        _, b_mi = _reference_series_coefficients(m - i)
+        lhs += a_i * b_mi
+    rhs = 4 * (-1) ** m * (m + 1) * _reference_binomial_half(m + 1)
+    return lhs, rhs, lhs == rhs
+
+
+def _assert_same(got, want, case):
+    """Equal values of equal types, entry by entry."""
+    assert got == want, case
+    assert [type(v) for v in got] == [type(v) for v in want], case
+
+
+def test_partition_sums_match_fraction_reference():
+    """The integer sums over one common denominator give the reduced
+    Fractions of the former per-term Fraction sums, over the suite's range."""
+    for n in range(1, 16):
+        _assert_same(magic_identity_1d(n), _reference_magic_identity_1d(n), n)
+    for n, d in _SUITE_RANGE:
+        _assert_same(
+            magic_identity_multi(n, d), _reference_magic_identity_multi(n, d), (n, d)
+        )
+
+
+def test_coefficient_sums_match_fraction_reference():
+    for n in range(1, 41):
+        _assert_same(S_n_identity(n), _reference_S_n_identity(n), n)
+    for m in range(0, 41):
+        _assert_same(convolution_identity(m), _reference_convolution_identity(m), m)
+        _assert_same(series_coefficients(m), _reference_series_coefficients(m), m)
+        assert binomial_half(m) == _reference_binomial_half(m)

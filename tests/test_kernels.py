@@ -8,10 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lagpaths import cli
 from lagpaths.errors import SingularEvaluationError
 from lagpaths.kernels import (
     KernelExpr,
+    MODEL_TAGS,
     KernelTerm,
     ScalarKernel,
     biot_savart_2d_kernel,
@@ -27,6 +31,7 @@ from lagpaths.kernels import (
     strain_3d_kernel,
     verify_derivative_bound,
 )
+from lagpaths.scenarios import seeded_sqg_cloud
 
 F = Fraction
 TWO_PI = 2.0 * math.pi
@@ -321,3 +326,219 @@ def test_mixed_parity_has_none():
     assert ScalarKernel.build(2, [t((1, 0)), t((0, 1))]).parity == -1
     assert ScalarKernel.build(2, [t((1, 0)), t((0, 0))]).parity is None
     assert ScalarKernel.zero(2).parity == 1
+
+
+# -- the former Fraction term algebra, kept as an exact reference -------------
+
+
+def _reference_canonical(terms):
+    work = list(terms)
+    reduced = []
+    while work:
+        t = work.pop()
+        if t.mono and t.mono[-1] >= 2:
+            mono = list(t.mono)
+            mono[-1] -= 2
+            work.append(
+                KernelTerm(t.coeff, t.pi_pow, tuple(mono), t.rpow - 2, t.grate)
+            )
+            for i in range(len(mono) - 1):
+                other = list(mono)
+                other[i] += 2
+                work.append(
+                    KernelTerm(-t.coeff, t.pi_pow, tuple(other), t.rpow, t.grate)
+                )
+        else:
+            reduced.append(t)
+    merged = {}
+    for t in reduced:
+        key = (t.mono, t.rpow, t.grate, t.pi_pow)
+        merged[key] = merged.get(key, Fraction(0)) + t.coeff
+    return tuple(
+        KernelTerm(c, k[3], k[0], k[1], k[2]) for k, c in sorted(merged.items()) if c != 0
+    )
+
+
+def _reference_derive(terms, axis):
+    new = []
+    for t in terms:
+        if t.mono[axis] > 0:
+            mono = list(t.mono)
+            mono[axis] -= 1
+            new.append(
+                KernelTerm(t.coeff * t.mono[axis], t.pi_pow, tuple(mono), t.rpow, t.grate)
+            )
+        if t.rpow != 0:
+            mono = list(t.mono)
+            mono[axis] += 1
+            new.append(
+                KernelTerm(-t.coeff * t.rpow, t.pi_pow, tuple(mono), t.rpow + 2, t.grate)
+            )
+        if t.grate != 0:
+            mono = list(t.mono)
+            mono[axis] += 1
+            new.append(
+                KernelTerm(-2 * t.grate * t.coeff, t.pi_pow, tuple(mono), t.rpow, t.grate)
+            )
+    return _reference_canonical(new)
+
+
+def _reference_derivatives(comp, max_order):
+    """Terms of every d^alpha comp with |alpha| <= max_order, by alpha, each
+    one step from alpha minus its last nonzero axis."""
+    out = {(0,) * comp.dim: comp.terms}
+    for order in range(1, max_order + 1):
+        for alpha in itertools.product(range(order + 1), repeat=comp.dim):
+            if sum(alpha) == order:
+                last = max(i for i, a in enumerate(alpha) if a)
+                lower = alpha[:last] + (alpha[last] - 1,) + alpha[last + 1:]
+                out[alpha] = _reference_derive(out[lower], last)
+    return out
+
+
+def _reference_evaluate(terms, y):
+    """The batched evaluation, term by term from the exact terms."""
+    r2 = np.sum(y * y, axis=-1)
+    r = np.sqrt(r2)
+    total = np.zeros(r2.shape)
+    for t in terms:
+        v = np.full(r2.shape, t.coeff_float())
+        for i, e in enumerate(t.mono):
+            if e:
+                v = v * y[..., i] ** e
+        if t.rpow:
+            v = v * r ** (-float(t.rpow))
+        if t.grate:
+            v = v * np.exp(-float(t.grate) * r2)
+        total += v
+    return total
+
+
+def _reference_evaluate_point(terms, y):
+    """The single-point evaluation, term by term from the exact terms."""
+    r = math.sqrt(float(np.sum(y * y)))
+    vals = []
+    for t in terms:
+        v = t.coeff_float()
+        for i, e in enumerate(t.mono):
+            if e:
+                v *= float(y[i]) ** e
+        if t.rpow:
+            v *= r ** (-t.rpow)
+        if t.grate:
+            v *= math.exp(-float(t.grate) * r * r)
+        vals.append(v)
+    return math.fsum(vals)
+
+
+def _assert_derivatives_match_reference(expr, derive, max_order):
+    y = bound_samples(16, expr.dim, seed=4)
+    refs = [_reference_derivatives(comp, max_order) for comp in expr.comps]
+    for alpha in refs[0]:
+        got = derive(alpha).comps
+        for comp, ref in zip(got, refs):
+            assert comp.terms == ref[alpha], alpha
+            assert np.array_equal(comp.evaluate(y), _reference_evaluate(ref[alpha], y))
+            assert comp.evaluate(y[0]) == _reference_evaluate_point(ref[alpha], y[0])
+
+
+@pytest.mark.parametrize("name", sorted(cli.suite_kernels()))
+def test_suite_kernel_derivatives_match_fraction_reference(name):
+    """The integer derivatives give the terms of the former Fraction algebra,
+    in the same order, and evaluate to the same bits.  For an outer part this
+    also checks the suite's shortcut, whole minus inner, and the direct
+    derivative."""
+    expr, derive = cli.suite_kernels()[name]
+    _assert_derivatives_match_reference(expr, derive, 5)
+    _assert_derivatives_match_reference(expr, expr.derive_multi, 5)
+
+
+def test_oracle_kernel_derivatives_match_fraction_reference():
+    """The regularized SQG kernel of the Faa di Bruno oracle, to order 8."""
+    _, spec = seeded_sqg_cloud()
+    expr = regularize(sqg_velocity_kernel(), spec.regularization_delta)
+    _assert_derivatives_match_reference(expr, expr.derive_multi, 8)
+    # built from its terms in reverse, with two Gaussian rates and |y|^2 terms
+    terms = expr.comps[0].derive_multi((2, 1)).terms[::-1]
+    assert ScalarKernel.build(2, terms).terms == _reference_canonical(terms)
+
+
+def test_strain_3d_derivatives_match_fraction_reference():
+    """The 3D strain kernel of the suite's measured constant, to order 3."""
+    expr = strain_3d_kernel()
+    _assert_derivatives_match_reference(expr, expr.derive_multi, 3)
+
+
+def _sympy_catalog_kernel(model, gradient):
+    """(symbols, |y|, components) of a catalog kernel, written out from the
+    model formulas in sympy, independently of the term algebra."""
+    import sympy as sp
+
+    tag = catalog(model).model
+    dim = 3 if tag == "euler3d" else 2
+    y = sp.symbols(f"y1:{dim + 1}", real=True)
+    r = sp.sqrt(sum(v**2 for v in y))
+    if tag == "sqg":  # velocity and gradient kernel: y_perp / (2 pi |y|^3)
+        return y, r, [-y[1] / (2 * sp.pi * r**3), y[0] / (2 * sp.pi * r**3)]
+    if dim == 2 and not gradient:
+        return y, r, [-y[1] / (2 * sp.pi * r**2), y[0] / (2 * sp.pi * r**2)]
+    if dim == 2:
+        a, b = 2 * y[0] * y[1], y[1] ** 2 - y[0] ** 2
+        return y, r, [c / (2 * sp.pi * r**4) for c in (a, b, b, -a)]
+    if not gradient:
+        return y, r, [v / (4 * sp.pi * r**3) for v in y]
+    vec = sp.Matrix(y)
+    cross = [vec.cross(sp.Matrix([int(k == m) for k in range(3)])) for m in range(3)]
+    return y, r, [
+        sp.Rational(3, 8) * (cross[m][i] * y[j] + cross[m][j] * y[i]) / (sp.pi * r**5)
+        for i in range(3)
+        for j in range(3)
+        for m in range(3)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(MODEL_TAGS),
+    gradient=st.booleans(),
+    delta=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+# strain_3d[0, 0, 0] is identically zero
+@example(model="euler3d", gradient=True, delta=0.5, seed=0, data=None)
+def test_derive_multi_matches_sympy(model, gradient, delta, seed, data):
+    """Independent oracle: d^alpha of a catalog component, regularized or
+    not, against sympy.diff of its closed form evaluated at 40 digits."""
+    import mpmath
+    import sympy as sp
+
+    y, r, comps = _sympy_catalog_kernel(model, gradient)
+    dim = len(y)
+    if data is None:
+        index, alpha = 0, (1, 1, 1)
+    else:
+        index = data.draw(st.integers(0, len(comps) - 1), label="component")
+        alpha = data.draw(
+            st.tuples(*[st.integers(0, 4)] * dim).filter(lambda a: sum(a) <= 4),
+            label="alpha",
+        )
+    entry = catalog(model)
+    expr = entry.gradient_kernel if gradient else entry.velocity_kernel
+    closed = comps[index]
+    if delta:
+        expr = regularize(expr, delta)
+        closed = closed * (1 - sp.exp(-(r**2) / sp.Rational(delta) ** 2))
+    axes = [v for v, a in zip(y, alpha) for _ in range(a)]
+    exact = sp.diff(closed, *axes) if axes else closed
+    pts = bound_samples(8, dim, seed=seed, rmin=0.5, rmax=4.0)
+    got = expr.comps[index].derive_multi(alpha).evaluate(pts)
+    if exact == 0:
+        # the exact algebra cancels every term of an identically zero entry
+        assert np.array_equal(got, np.zeros(len(pts)))
+        return
+    f = sp.lambdify(y, exact, "mpmath")
+    with mpmath.workdps(40):
+        want = np.array([float(f(*map(mpmath.mpf, p))) for p in pts])
+    # the floor covers points where the derivative crosses zero
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
