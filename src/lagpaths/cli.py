@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -151,49 +151,38 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
 
 
 CIRCLE_MEAN_KERNELS = (
-    ("sqg", kernels.sqg_velocity_kernel),
-    ("biot_savart_2d", kernels.biot_savart_2d_kernel),
-    ("strain_2d", kernels.strain_2d_kernel),
+    # (name in the circle-mean cases, label in the envelope cases, builder)
+    ("sqg", "sqg", kernels.sqg_velocity_kernel),
+    ("biot_savart_2d", "biot_savart", kernels.biot_savart_2d_kernel),
+    ("strain_2d", "strain2d", kernels.strain_2d_kernel),
 )
 
 KERNEL_BOUND_CHECKS = (
-    # (label, kernel name in suite_kernels, power offset, gaussian decay in
-    # the envelope)
-    ("sqg_inner", "sqg_inner", 2, True),
-    ("sqg_outer", "sqg_outer", 0, False),
-    ("sqg_stream_part", "sqg_stream_part", 1, True),
-    ("sqg_bounded_part", "sqg_bounded_part", 0, True),
-    ("strain2d_inner", "strain_2d_inner", 2, True),
-    ("strain2d_outer", "strain_2d_outer", 0, False),
-    ("biot_savart_inner", "biot_savart_2d_inner", 1, True),
-    ("biot_savart_outer", "biot_savart_2d_outer", 0, False),
+    # (label in suite_kernels, power offset, gaussian decay in the envelope)
+    ("sqg_inner", 2, True),
+    ("sqg_outer", 0, False),
+    ("sqg_stream_part", 1, True),
+    ("sqg_bounded_part", 0, True),
+    ("strain2d_inner", 2, True),
+    ("strain2d_outer", 0, False),
+    ("biot_savart_inner", 1, True),
+    ("biot_savart_outer", 0, False),
 )
 
 
-def suite_kernels() -> dict[str, tuple[kernels.KernelExpr, Callable]]:
-    """Every 2D kernel of the kernel suite, each built once, by name.
+def suite_kernels() -> dict[str, kernels.KernelExpr]:
+    """Every 2D kernel of the kernel suite, each built once, by label.
 
-    Maps a name to (kernel, alpha -> d^alpha kernel).  Each catalog kernel
-    of CIRCLE_MEAN_KERNELS comes whole and as the parts of its Gaussian
-    split, "<name>_inner" and "<name>_outer".  An outer part's derivatives
-    are the whole kernel's minus the inner part's: the canonical form is
-    unique, so these are the terms that deriving the outer part gives, and
-    the inner part's derivatives are already made for its own check.  Then
-    the stream-function split of the localized SQG kernel.
+    Each catalog kernel of CIRCLE_MEAN_KERNELS comes whole and as the parts
+    of its Gaussian split, "<label>_inner" and "<label>_outer"; then the
+    stream-function split of the localized SQG kernel.
     """
     out = {}
-    for name, build in CIRCLE_MEAN_KERNELS:
+    for _, label, build in CIRCLE_MEAN_KERNELS:
         expr = build()
-        inner, outer = kernels.split_gaussian(expr)
-        out[name] = (expr, expr.derive_multi)
-        out[f"{name}_inner"] = (inner, inner.derive_multi)
-        out[f"{name}_outer"] = (
-            outer,
-            lambda alpha, e=expr, i=inner: e.derive_multi(alpha) - i.derive_multi(alpha),
-        )
-    stream, bounded = kernels.decompose_kin("sqg")
-    out["sqg_stream_part"] = (stream, stream.derive_multi)
-    out["sqg_bounded_part"] = (bounded, bounded.derive_multi)
+        out[label] = expr
+        out[f"{label}_inner"], out[f"{label}_outer"] = kernels.split_gaussian(expr)
+    out["sqg_stream_part"], out["sqg_bounded_part"] = kernels.decompose_kin("sqg")
     return out
 
 
@@ -212,10 +201,9 @@ def run_kernel_suite(
     cases, info = [], []
     pts = kernels.bound_samples(samples, 2, seed=seed)
     built = suite_kernels()
-    for label, name, offset, gauss in KERNEL_BOUND_CHECKS:
-        expr, derive = built[name]
+    for label, offset, gauss in KERNEL_BOUND_CHECKS:
         rep = kernels.verify_derivative_bound(
-            expr, c_k, offset, max_order, pts, gaussian_decay=gauss, derive=derive
+            built[label], c_k, offset, max_order, pts, gaussian_decay=gauss
         )
         cases.append(
             {
@@ -231,9 +219,9 @@ def run_kernel_suite(
             }
         )
 
-    for name, _ in CIRCLE_MEAN_KERNELS:
+    for name, label, _ in CIRCLE_MEAN_KERNELS:
         for tag in ("", "_inner", "_outer"):
-            e = built[name + tag][0]
+            e = built[label + tag]
             worst = 0.0
             for radius in (0.5, 1.0, 2.0):
                 mean = kernels.circle_mean(e, radius, 64)

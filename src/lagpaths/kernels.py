@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -541,7 +541,6 @@ def verify_derivative_bound(
     max_order: int,
     samples: np.ndarray,
     gaussian_decay: bool = True,
-    derive: Optional[Callable[[MultiIndex], KernelExpr]] = None,
 ) -> dict:
     """Worst-case ratio of |d^alpha expr| to the claimed derivative envelope.
 
@@ -552,9 +551,7 @@ def verify_derivative_bound(
 
     times exp(-|y|^2/2) when gaussian_decay is set.  Reports the worst ratio
     per order; the envelope holds on the sample set iff every ratio <= 1.
-    ``derive`` gives d^alpha expr; it defaults to ``expr.derive_multi``.
     """
-    derive = derive or expr.derive_multi
     samples = np.asarray(samples, dtype=float)
     r = np.linalg.norm(samples, axis=-1)
     worst: dict[int, float] = {}
@@ -563,7 +560,7 @@ def verify_derivative_bound(
         for alpha in itertools.product(range(order + 1), repeat=expr.dim):
             if sum(alpha) != order:
                 continue
-            deriv = derive(alpha)
+            deriv = expr.derive_multi(alpha)
             vals = deriv.evaluate(samples)
             mag = np.abs(vals).reshape(len(samples), -1).max(axis=1)
             envelope = (

@@ -431,33 +431,30 @@ def _reference_evaluate_point(terms, y):
     return math.fsum(vals)
 
 
-def _assert_derivatives_match_reference(expr, derive, max_order):
+def _assert_derivatives_match_reference(expr, max_order):
     y = bound_samples(16, expr.dim, seed=4)
     refs = [_reference_derivatives(comp, max_order) for comp in expr.comps]
     for alpha in refs[0]:
-        got = derive(alpha).comps
+        got = expr.derive_multi(alpha).comps
         for comp, ref in zip(got, refs):
             assert comp.terms == ref[alpha], alpha
             assert np.array_equal(comp.evaluate(y), _reference_evaluate(ref[alpha], y))
             assert comp.evaluate(y[0]) == _reference_evaluate_point(ref[alpha], y[0])
 
 
-@pytest.mark.parametrize("name", sorted(cli.suite_kernels()))
-def test_suite_kernel_derivatives_match_fraction_reference(name):
+@pytest.mark.parametrize("label", sorted(cli.suite_kernels()))
+def test_suite_kernel_derivatives_match_fraction_reference(label):
     """The integer derivatives give the terms of the former Fraction algebra,
-    in the same order, and evaluate to the same bits.  For an outer part this
-    also checks the suite's shortcut, whole minus inner, and the direct
-    derivative."""
-    expr, derive = cli.suite_kernels()[name]
-    _assert_derivatives_match_reference(expr, derive, 5)
-    _assert_derivatives_match_reference(expr, expr.derive_multi, 5)
+    in the same order, and evaluate to the same bits."""
+    expr = cli.suite_kernels()[label]
+    _assert_derivatives_match_reference(expr, 5)
 
 
 def test_oracle_kernel_derivatives_match_fraction_reference():
     """The regularized SQG kernel of the Faa di Bruno oracle, to order 8."""
     _, spec = seeded_sqg_cloud()
     expr = regularize(sqg_velocity_kernel(), spec.regularization_delta)
-    _assert_derivatives_match_reference(expr, expr.derive_multi, 8)
+    _assert_derivatives_match_reference(expr, 8)
     # built from its terms in reverse, with two Gaussian rates and |y|^2 terms
     terms = expr.comps[0].derive_multi((2, 1)).terms[::-1]
     assert ScalarKernel.build(2, terms).terms == _reference_canonical(terms)
@@ -466,7 +463,7 @@ def test_oracle_kernel_derivatives_match_fraction_reference():
 def test_strain_3d_derivatives_match_fraction_reference():
     """The 3D strain kernel of the suite's measured constant, to order 3."""
     expr = strain_3d_kernel()
-    _assert_derivatives_match_reference(expr, expr.derive_multi, 3)
+    _assert_derivatives_match_reference(expr, 3)
 
 
 def _sympy_catalog_kernel(model, gradient):
