@@ -204,8 +204,8 @@ class Model:
     """
 
     dim: int
-    # rho is constant in time, so X evolves alone (the X-only Taylor route,
-    # the oracle and the compiled route); other models always evolve G
+    # rho is constant in time, so X evolves alone (the X-only Taylor route
+    # and the oracle); other models always evolve G
     closed: bool
     taylor: bool  # time-Taylor jets are provided
     # p in K = y_perp / (2 pi |y|^p): 3 for the SQG perp-Riesz kernel, whose

@@ -17,16 +17,12 @@ propagator in ``taylor``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import SingularEvaluationError
 from .kernels import KernelExpr, ScalarKernel
-
-ArrayLike = Union[np.ndarray, list, tuple, float]
 
 
 def mul_step(a, b, n: int) -> np.ndarray:
@@ -99,26 +95,6 @@ class Jet:
     def shape(self) -> tuple[int, ...]:
         return self.coeffs.shape[1:]
 
-    @staticmethod
-    def from_coeffs(coeffs: ArrayLike) -> "Jet":
-        return Jet(np.array(coeffs, dtype=float))
-
-    @staticmethod
-    def constant(value: ArrayLike, order: int) -> "Jet":
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((order + 1,) + value.shape)
-        coeffs[0] = value
-        return Jet(coeffs)
-
-    @staticmethod
-    def variable(value: float, order: int) -> "Jet":
-        """The jet of t -> value + t."""
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = value
-        if order >= 1:
-            coeffs[1] = 1.0
-        return Jet(coeffs)
-
     def __add__(self, other: "Jet") -> "Jet":
         if self.order != other.order:
             raise ValueError("jet order mismatch")
@@ -132,45 +108,12 @@ class Jet:
     def __mul__(self, other: "Jet") -> "Jet":
         return Jet(mul_coeffs(self.coeffs, other.coeffs))
 
-    def scale(self, factor: float) -> "Jet":
-        return Jet(self.coeffs * factor)
-
-    def component(self, i: int) -> "Jet":
-        return Jet(self.coeffs[:, i])
-
-    def truncated(self, order: int) -> "Jet":
-        return Jet(self.coeffs[: order + 1])
-
     def evaluate(self, h: float) -> np.ndarray:
         """Horner evaluation of the polynomial at time offset h."""
         acc = np.array(self.coeffs[-1], copy=True)
         for n in range(self.order - 1, -1, -1):
             acc = acc * h + self.coeffs[n]
         return acc
-
-    def derivative_shift(self) -> "Jet":
-        """The jet of the time derivative, one order shorter."""
-        n = np.arange(1, self.coeffs.shape[0])
-        n = n.reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return Jet(self.coeffs[1:] * n)
-
-
-def jet_norm_sq(v: Jet) -> Jet:
-    """Sum of squared components of a vector jet (components on axis 1)."""
-    if not v.shape:
-        raise ValueError("norm_sq expects a vector jet")
-    acc = mul_coeffs(v.coeffs[:, 0], v.coeffs[:, 0])
-    for i in range(1, v.shape[0]):
-        acc = acc + mul_coeffs(v.coeffs[:, i], v.coeffs[:, i])
-    return Jet(acc)
-
-
-def jet_pow_real(u: Jet, exponent: float) -> Jet:
-    return Jet(pow_coeffs(u.coeffs, exponent))
-
-
-def jet_exp(u: Jet) -> Jet:
-    return Jet(exp_coeffs(u.coeffs))
 
 
 class KernelStream:

@@ -215,19 +215,15 @@ def time_jets_fast(
     order: int,
     with_gradients: bool = False,
     threads: int = 1,
-    use_compiled: bool = True,
 ) -> TrajectoryJets:
     """Trajectory jets via order-by-order jet propagation through the kernel.
 
     Gradients are carried when requested, and always for models whose
-    density moves with G (ipm: the bracket -{theta0, X_2}).  The X-only path
-    of the models with constant density uses the fused compiled kernel when
-    numba is present; pass ``use_compiled=False`` to force the generic route
-    (the two are cross-checked in the test suite).
+    density moves with G (ipm: the bracket -{theta0, X_2}).
 
-    The generic route streams each work unit's pair jets, each unordered
-    pair once (see README, "Jet routes"); only coefficient n of each pair
-    sum and of G' = (grad u) G is formed at order n.
+    Each work unit's pair jets are streamed, each unordered pair once (see
+    README, "Jet routes"); only coefficient n of each pair sum and of
+    G' = (grad u) G is formed at order n.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
@@ -235,22 +231,6 @@ def time_jets_fast(
     model = MODELS[spec.model]
     need_g, transported, keep, layout, arrays = _jet_kernels(spec, with_gradients)
     w = state.weights
-
-    if use_compiled and not need_g:
-        from . import _fastjets
-
-        if _fastjets.HAVE_NUMBA:
-            xj = _fastjets.propagate_perp_kernel_jets(
-                state.positions,
-                w * model.density(state),
-                order,
-                model.radial_power,
-                spec.regularization_delta,
-                threads=threads,
-            )
-            if not np.all(np.isfinite(xj)):
-                raise NumericalFailureError("non-finite jet coefficients")
-            return TrajectoryJets(xj, state.t, spec.model, None)
     d = state.dim
     n_pts = state.n
     unique = len(layout.unique)
@@ -364,6 +344,8 @@ def time_jets_fast(
                     g_n[:, a, c] = acc
             gj[n + 1] = g_n / (n + 1)
 
+    if not np.all(np.isfinite(xj)) or (need_g and not np.all(np.isfinite(gj))):
+        raise NumericalFailureError("non-finite jet coefficients")
     return TrajectoryJets(xj, state.t, spec.model, gj)
 
 

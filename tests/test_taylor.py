@@ -17,10 +17,11 @@ from lagpaths.dynamics import (
     _brackets_2d,
     _run_chunks,
     init_grid,
+    make_point_vortex_state,
     rk4_step,
     velocity,
 )
-from lagpaths.errors import ConfigError, SingularEvaluationError
+from lagpaths.errors import ConfigError, NumericalFailureError, SingularEvaluationError
 from lagpaths.jets import Jet, KernelStream, mul_step
 from lagpaths.kernels import catalog
 from lagpaths.scenarios import (
@@ -83,18 +84,17 @@ def test_x_jet_shift_identity_equals_velocity_jet():
     expr = regularize(sqg_velocity_kernel(), spec.regularization_delta)
     wrho = state.weights * state.theta0
     n = state.n
-    for compiled, atol in ((False, 1e-14), (True, 1e-13)):
-        jets = time_jets_fast(spec, state, order, use_compiled=compiled)
-        # displacement jets for every ordered pair, self pairs masked
-        y = jets.x_coeffs[:, :, None, :] - jets.x_coeffs[:, None, :, :]
-        y = np.moveaxis(y, 3, 1)
-        eye = np.eye(n, dtype=bool)
-        y[0, 0][eye] = 1.0
-        kv = kernel_on_jet(expr, Jet(y)).coeffs
-        kv[..., eye] = 0.0
-        u_jet = np.einsum("ocij,j->oic", kv, wrho)
-        shifted = jets.x_coeffs[1:] * np.arange(1, order + 1)[:, None, None]
-        np.testing.assert_allclose(shifted, u_jet[:order], rtol=0, atol=atol)
+    jets = time_jets_fast(spec, state, order)
+    # displacement jets for every ordered pair, self pairs masked
+    y = jets.x_coeffs[:, :, None, :] - jets.x_coeffs[:, None, :, :]
+    y = np.moveaxis(y, 3, 1)
+    eye = np.eye(n, dtype=bool)
+    y[0, 0][eye] = 1.0
+    kv = kernel_on_jet(expr, Jet(y)).coeffs
+    kv[..., eye] = 0.0
+    u_jet = np.einsum("ocij,j->oic", kv, wrho)
+    shifted = jets.x_coeffs[1:] * np.arange(1, order + 1)[:, None, None]
+    np.testing.assert_allclose(shifted, u_jet[:order], rtol=0, atol=1e-14)
     for builder in (seeded_sqg_cloud, two_vortex):
         state, spec = builder()
         oracle = time_jets_oracle(spec, state, order=6)
@@ -268,55 +268,6 @@ def test_euler2d_grid_gradient_jets_consistent_with_rk4():
     np.testing.assert_allclose(jets.grads_at(h), ref.grads, atol=1e-8)
 
 
-def test_compiled_jets_match_generic_route():
-    from lagpaths import _fastjets
-
-    if not _fastjets.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    state, spec = sqg_bump(n_per_axis=16)
-    jf = time_jets_fast(spec, state, 10, use_compiled=True)
-    jg = time_jets_fast(spec, state, 10, use_compiled=False)
-    scale = np.max(np.abs(jg.x_coeffs), axis=(1, 2), keepdims=True)
-    assert np.max(np.abs(jf.x_coeffs - jg.x_coeffs) / scale) < 1e-12
-    # unregularized pair kernel branch
-    state, spec = two_vortex()
-    jf = time_jets_fast(spec, state, 10, use_compiled=True)
-    jg = time_jets_fast(spec, state, 10, use_compiled=False)
-    np.testing.assert_allclose(jf.x_coeffs, jg.x_coeffs, atol=1e-15)
-    # thread count does not change compiled results bitwise
-    state, spec = sqg_bump(n_per_axis=16)
-    j1 = time_jets_fast(spec, state, 8, threads=1)
-    j2 = time_jets_fast(spec, state, 8, threads=2)
-    assert np.array_equal(j1.x_coeffs, j2.x_coeffs)
-
-
-@pytest.mark.parametrize("scenario", [seeded_sqg_cloud, two_vortex])
-def test_compiled_recurrence_as_python_matches_generic_route(scenario):
-    # the compiled route's recurrence run as plain Python, with or without
-    # numba: p = 3 regularized (SQG cloud), p = 2 unregularized (vortices)
-    from lagpaths import _fastjets
-
-    state, spec = scenario()
-    model = MODELS[spec.model]
-    order = 8
-    xj = np.zeros((order + 1, state.n, 2))
-    xj[0] = state.positions
-    delta = spec.regularization_delta
-    inv_d2 = 0.0 if delta == 0.0 else 1.0 / (delta * delta)
-    propagate = getattr(_fastjets._propagate, "py_func", _fastjets._propagate)
-    propagate(
-        xj,
-        state.weights * model.density(state),
-        1.0 / (2.0 * math.pi),
-        model.radial_power / 2.0,
-        inv_d2,
-        order,
-    )
-    generic = time_jets_fast(spec, state, order, use_compiled=False)
-    scale = np.max(np.abs(generic.x_coeffs), axis=(1, 2), keepdims=True)
-    assert np.max(np.abs(xj - generic.x_coeffs) / scale) < 1e-12
-
-
 def _units_for(monkeypatch, n, side, count):
     """Set JET_BLOCK_PAIRS to tiles of ``side`` particles; check the count."""
     monkeypatch.setattr(taylor, "JET_BLOCK_PAIRS", side * side)
@@ -478,14 +429,19 @@ def test_pair_units_match_row_block_loop(monkeypatch, case, regularized, tiles):
     _units_for(monkeypatch, state.n, 10 if tiles > 1 else 49, tiles * (tiles + 1) // 2)
     order = 6
     xj, gj = _row_block_jets(spec, state, order, with_g)
-    for threads in (1, 2):
-        jets = time_jets_fast(
-            spec, state, order, with_gradients=with_g, threads=threads,
-            use_compiled=False,
-        )
+    runs = [
+        time_jets_fast(spec, state, order, with_gradients=with_g, threads=threads)
+        for threads in (1, 2)
+    ]
+    for jets in runs:
         _assert_orders_close(jets.x_coeffs, xj)
         if gj is not None:
             _assert_orders_close(jets.g_coeffs, gj)
+    # the unit sums are added in unit order whatever the thread count
+    one, two = runs
+    assert np.array_equal(one.x_coeffs, two.x_coeffs)
+    if gj is not None:
+        assert np.array_equal(one.g_coeffs, two.g_coeffs)
 
 
 def test_each_pair_is_pushed_once(monkeypatch):
@@ -501,7 +457,7 @@ def test_each_pair_is_pushed_once(monkeypatch):
 
     monkeypatch.setattr(KernelStream, "push", spy)
     order = 5
-    time_jets_fast(spec, state, order, with_gradients=True, use_compiled=False)
+    time_jets_fast(spec, state, order, with_gradients=True)
     i, j = np.triu_indices(state.n, k=1)
     pairs = state.positions[i] - state.positions[j]
     assert sorted(pushed) == list(range(order))
@@ -522,6 +478,16 @@ def test_coincident_particles_in_a_later_unit_raise(monkeypatch, threads):
             spec, state.replace(positions=positions), 4, with_gradients=True,
             threads=threads,
         )
+
+
+def test_non_finite_jets_raise():
+    # 1e-14 apart, |y|^-2 overflows by order 25: a NaN expansion must not
+    # reach estimate_radius, which would read it as an infinite radius
+    state = make_point_vortex_state([(0.0, 0.0), (1e-14, 0.0)], [1.0, 1.0])
+    spec = ModelSpec("euler2d", 0.0, evolve_gradients=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match="non-finite jet"):
+            time_jets_fast(spec, state, 25)
 
 
 def test_readme_history_bytes():

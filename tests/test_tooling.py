@@ -1,17 +1,23 @@
-"""The benchmark tracer's targets must exist in the package.
+"""What the benchmark reads from the package must exist in it.
 
 ``perfbench/tracer.py`` wraps each name in ``TARGETS`` for the traced
-benchmark run; a renamed or deleted function would break that run, so it
-fails here first.
+benchmark run, and ``perfbench/child.py env`` probes the environment before
+every run; a renamed or deleted name would break those runs, so it fails
+here first.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -32,6 +38,16 @@ def test_tracer_targets_resolve():
         if not callable(obj):
             missing.append(target)
     assert not missing, missing
+
+
+def test_benchmark_env_probe_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "env"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["jets_route"] == "generic"
 
 
 def test_tracer_rhs_labels_cover_every_model():
