@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -55,8 +54,11 @@ class VerificationReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _exact_case(name: str, expected, got, passed) -> dict:
+    """One exact identity case; the exact values are written as text."""
+    return {
+        "name": name, "expected": str(expected), "got": str(got), "passed": bool(passed)
+    }
 
 
 def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
@@ -72,65 +74,42 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
     for j in range(2, 31):
         lhs, rhs, equal = comb.check_factorial_bound(j)
         cases.append(
-            {
-                "name": f"half_binomial_factorial_identity[j={j}]",
-                "expected": _frac(rhs),
-                "got": _frac(lhs),
-                "passed": bool(equal),
-            }
+            _exact_case(f"half_binomial_factorial_identity[j={j}]", rhs, lhs, equal)
         )
 
     for n in range(1, max_n + 1):
         lhs, rhs, equal = comb.magic_identity_1d(n)
         cases.append(
-            {
-                "name": f"partition_sum_closed_form_1d[n={n}]",
-                "expected": _frac(rhs),
-                "got": _frac(lhs),
-                "passed": bool(equal),
-            }
+            _exact_case(f"partition_sum_closed_form_1d[n={n}]", rhs, lhs, equal)
         )
 
     if 1 in dims:
         for n in range(1, max_n + 1):
             lhs, rhs, ratio = comb.magic_identity_multi(n, 1)
             cases.append(
-                {
-                    "name": f"partition_sum_closed_form_multi[d=1,n={n}]",
-                    "expected": _frac(rhs),
-                    "got": _frac(lhs),
-                    "passed": ratio == 1,
-                }
+                _exact_case(
+                    f"partition_sum_closed_form_multi[d=1,n={n}]", rhs, lhs, ratio == 1
+                )
             )
 
     for n in range(1, 41):
         triple, closed, equal, bound = comb.S_n_identity(n)
         cases.append(
-            {
-                "name": f"coefficient_triple_sum[n={n}]",
-                "expected": _frac(closed),
-                "got": _frac(triple),
-                "passed": bool(equal and bound),
-            }
+            _exact_case(
+                f"coefficient_triple_sum[n={n}]", closed, triple, equal and bound
+            )
         )
 
     for m in range(1, 41):
         lhs, rhs, equal = comb.convolution_identity(m)
-        cases.append(
-            {
-                "name": f"coefficient_convolution[m={m}]",
-                "expected": _frac(rhs),
-                "got": _frac(lhs),
-                "passed": bool(equal),
-            }
-        )
+        cases.append(_exact_case(f"coefficient_convolution[m={m}]", rhs, lhs, equal))
     lhs0, rhs0, _ = comb.convolution_identity(0)
     info.append(
         {
             "name": "coefficient_convolution[m=0]",
             "note": "closed form misses the generating-function constant at m=0",
-            "lhs": _frac(lhs0),
-            "rhs": _frac(rhs0),
+            "lhs": str(lhs0),
+            "rhs": str(rhs0),
         }
     )
 
@@ -142,9 +121,9 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
             info.append(
                 {
                     "name": f"partition_sum_ratio[d={d},n={n}]",
-                    "lhs": _frac(lhs),
-                    "rhs": _frac(rhs),
-                    "ratio": _frac(ratio),
+                    "lhs": str(lhs),
+                    "rhs": str(rhs),
+                    "ratio": str(ratio),
                 }
             )
     return VerificationReport("identities", cases, info)
@@ -429,40 +408,33 @@ def build_run(config: RunConfig):
 
     if isinstance(config.scenario, str):
         name = config.scenario
-        built = scenarios.SCENARIO_MODELS.get(name, config.model)
-        if built != config.model:
+        entry = scenarios.SCENARIOS.get(name)  # build_scenario refuses unknown names
+        if entry is not None and entry.model != config.model:
             raise ConfigError(
                 f"config model {config.model!r} does not match scenario model "
-                f"{built!r}"
+                f"{entry.model!r}"
             )
-        if name in ("two_vortex", "vortex_pair"):
-            state, spec = scenarios.build_scenario(name)
-        else:
-            state, spec = scenarios.build_scenario(name, **overrides)
+        if entry is not None and overrides and not entry.grid:
+            raise ConfigError(
+                f"scenario {name!r} takes no grid or regularization_delta"
+            )
+        return scenarios.build_scenario(name, **overrides)
+    if config.grid is None:
+        raise ConfigError("inline scenarios need a grid")
+    field_kind = config.scenario.get("field", "gaussian")
+    params = {k: v for k, v in config.scenario.items() if k in ("amplitude", "width")}
+    if field_kind == "gaussian":
+        field = scenarios.gaussian_field(
+            center=config.scenario.get("center", (0.0, 0.0)), **params
+        )
+    elif field_kind == "stratified":
+        field = scenarios.stratified_field(**params)
     else:
-        if config.grid is None:
-            raise ConfigError("inline scenarios need a grid")
-        field_kind = config.scenario.get("field", "gaussian")
-        params = {
-            k: v for k, v in config.scenario.items() if k in ("amplitude", "width")
-        }
-        if field_kind == "gaussian":
-            field = scenarios.gaussian_field(
-                center=config.scenario.get("center", (0.0, 0.0)), **params
-            )
-        elif field_kind == "stratified":
-            field = scenarios.stratified_field(**params)
-        else:
-            raise ConfigError(f"unknown inline field kind {field_kind!r}")
-        label_field = dynamics.MODELS[config.model].label_field
-        if label_field is None:
-            raise ConfigError("inline scenarios cover the 2D models only")
-        extent = overrides["extent"]
-        n_axis = overrides["n_per_axis"]
-        delta = overrides.get("delta", dynamics.default_delta(extent, n_axis))
-        state = dynamics.init_grid(extent, n_axis, **{label_field: field})
-        spec = dynamics.ModelSpec(config.model, delta)
-    return state, spec
+        raise ConfigError(f"unknown inline field kind {field_kind!r}")
+    label_field = dynamics.MODELS[config.model].label_field
+    if label_field is None:
+        raise ConfigError("inline scenarios cover the 2D models only")
+    return scenarios.grid_run(config.model, **overrides, **{label_field: field})
 
 
 # -- output writers -------------------------------------------------------------
@@ -715,18 +687,18 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
         "order": order,
     }
     if state.theta0 is not None and state.grad_theta0 is not None:
-        stats = taylor.holder_stats(state, gamma=0.5, seed=config.seed)
-        c1, c0, r_paper, provenance = taylor.paper_radius_bound(stats)
+        bound = run_radius_bound(config, run)
+        constraints = bound["constraints"]
         summary.update(
             {
-                "R_paper": r_paper,
-                "C0": c0,
-                "C1": c1,
+                "R_paper": bound["R_paper"],
+                "C0": bound["C0"],
+                "C1": bound["C1"],
                 "enforced_constraints": [
-                    p["constraint"] for p in provenance if p["enforced"]
+                    p["constraint"] for p in constraints if p["enforced"]
                 ],
                 "unenforced_constraints": [
-                    p["constraint"] for p in provenance if not p["enforced"]
+                    p["constraint"] for p in constraints if not p["enforced"]
                 ],
             }
         )

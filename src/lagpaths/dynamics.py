@@ -606,6 +606,21 @@ def nearest_neighbor_pairs(
     return np.stack([np.repeat(np.arange(n), k), nbr.reshape(-1)], axis=-1)
 
 
+def sampled_pairs(
+    neighbors: np.ndarray, n: int, sample_pairs: int, seed: int
+) -> np.ndarray:
+    """``neighbors`` followed by ``sample_pairs`` seeded uniform draws of pairs
+    among n labels, self pairs dropped."""
+    pairs = [neighbors]
+    if sample_pairs > 0:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=sample_pairs)
+        j = rng.integers(0, n, size=sample_pairs)
+        keep = i != j
+        pairs.append(np.stack([i[keep], j[keep]], axis=-1))
+    return np.concatenate(pairs, axis=0)
+
+
 def chord_arc(
     state: ParticleState,
     sample_pairs: int = 2048,
@@ -622,14 +637,7 @@ def chord_arc(
         raise ConfigError("chord-arc needs at least 2 particles")
     if neighbors is None:
         neighbors = nearest_neighbor_pairs(state.labels)
-    pairs = [neighbors]
-    if sample_pairs > 0:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=sample_pairs)
-        j = rng.integers(0, n, size=sample_pairs)
-        keep = i != j
-        pairs.append(np.stack([i[keep], j[keep]], axis=-1))
-    pairs = np.concatenate(pairs, axis=0)
+    pairs = sampled_pairs(neighbors, n, sample_pairs, seed)
     da = np.linalg.norm(state.labels[pairs[:, 0]] - state.labels[pairs[:, 1]], axis=-1)
     dx = np.linalg.norm(
         state.positions[pairs[:, 0]] - state.positions[pairs[:, 1]], axis=-1

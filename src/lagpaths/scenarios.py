@@ -7,7 +7,10 @@ unregularized with the self term excluded by antisymmetry.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,70 +57,100 @@ def stratified_field(amplitude=1.0, width=0.5) -> ScalarField:
     return ScalarField(value, gradient)
 
 
-def two_vortex() -> tuple[ParticleState, ModelSpec]:
+@dataclass(frozen=True)
+class Scenario:
+    model: str
+    build: Callable[..., tuple[ParticleState, ModelSpec]]
+    # the builder takes extent, n_per_axis and delta; point scenarios take none
+    grid: bool
+
+
+# name -> Scenario; the model is known before the scenario is built, since a
+# grid sized for one model's dimension breaks another model's builder
+SCENARIOS: dict[str, Scenario] = {}
+
+
+def _scenario(model: str, grid: bool = True):
+    """Register the decorated builder in SCENARIOS under its name.
+
+    The builder's first argument is its model, bound here, so that each
+    scenario's model is written once; callers pass only the rest.
+    """
+
+    def register(build):
+        bound = functools.update_wrapper(functools.partial(build, model), build)
+        SCENARIOS[build.__name__] = Scenario(model, bound, grid)
+        return bound
+
+    return register
+
+
+def grid_run(
+    model: str, extent, n_per_axis: int, delta=None, **data
+) -> tuple[ParticleState, ModelSpec]:
+    """A label grid carrying ``data`` (init_grid's fields) and its ModelSpec;
+    delta defaults to twice the label spacing."""
+    state = init_grid(extent, n_per_axis, **data)
+    if delta is None:
+        delta = default_delta(extent, n_per_axis)
+    return state, ModelSpec(model, delta)
+
+
+_SQUARE = ((-2.0, 2.0), (-2.0, 2.0))
+
+
+@_scenario("euler2d", grid=False)
+def two_vortex(model) -> tuple[ParticleState, ModelSpec]:
     """Corotating unit vortices at (0,0) and (1,0); period 2 pi^2."""
     state = make_point_vortex_state([(0.0, 0.0), (1.0, 0.0)], [1.0, 1.0])
-    return state, ModelSpec("euler2d", 0.0, evolve_gradients=False)
+    return state, ModelSpec(model, 0.0, evolve_gradients=False)
 
 
-def vortex_pair() -> tuple[ParticleState, ModelSpec]:
+@_scenario("euler2d", grid=False)
+def vortex_pair(model) -> tuple[ParticleState, ModelSpec]:
     """Counter-rotating pair at unit separation; translates at 1/(2 pi)."""
     state = make_point_vortex_state([(0.0, 0.5), (0.0, -0.5)], [1.0, -1.0])
-    return state, ModelSpec("euler2d", 0.0, evolve_gradients=False)
+    return state, ModelSpec(model, 0.0, evolve_gradients=False)
 
 
+@_scenario("sqg")
 def sqg_bump(
-    n_per_axis=64, extent=((-2.0, 2.0), (-2.0, 2.0)), amplitude=1.0, width=0.5,
-    delta=None,
+    model, n_per_axis=64, extent=_SQUARE, amplitude=1.0, width=0.5, delta=None
 ) -> tuple[ParticleState, ModelSpec]:
     field = gaussian_field(amplitude, width)
-    state = init_grid(extent, n_per_axis, theta0=field)
-    if delta is None:
-        delta = default_delta(extent, n_per_axis)
-    return state, ModelSpec("sqg", delta)
+    return grid_run(model, extent, n_per_axis, delta, theta0=field)
 
 
+@_scenario("ipm")
 def ipm_stratified(
-    n_per_axis=32, extent=((-2.0, 2.0), (-2.0, 2.0)), amplitude=1.0, width=0.5,
-    delta=None,
+    model, n_per_axis=32, extent=_SQUARE, amplitude=1.0, width=0.5, delta=None
 ) -> tuple[ParticleState, ModelSpec]:
     field = stratified_field(amplitude, width)
-    state = init_grid(extent, n_per_axis, theta0=field)
-    if delta is None:
-        delta = default_delta(extent, n_per_axis)
-    return state, ModelSpec("ipm", delta)
+    return grid_run(model, extent, n_per_axis, delta, theta0=field)
 
 
+@_scenario("ipm")
 def ipm_bubble(
-    n_per_axis=32, extent=((-2.0, 2.0), (-2.0, 2.0)), amplitude=1.0, width=0.4,
-    delta=None,
+    model, n_per_axis=32, extent=_SQUARE, amplitude=1.0, width=0.4, delta=None
 ) -> tuple[ParticleState, ModelSpec]:
     """Off-equilibrium porous-medium data: a buoyant Gaussian blob."""
     field = gaussian_field(amplitude, width, center=(0.0, -0.3))
-    state = init_grid(extent, n_per_axis, theta0=field)
-    if delta is None:
-        delta = default_delta(extent, n_per_axis)
-    return state, ModelSpec("ipm", delta)
+    return grid_run(model, extent, n_per_axis, delta, theta0=field)
 
 
+@_scenario("boussinesq2d")
 def boussinesq_bubble(
-    n_per_axis=32, extent=((-2.0, 2.0), (-2.0, 2.0)), amplitude=1.0, width=0.4,
-    delta=None,
+    model, n_per_axis=32, extent=_SQUARE, amplitude=1.0, width=0.4, delta=None
 ) -> tuple[ParticleState, ModelSpec]:
-    """Initially quiescent buoyant bubble: omega0 = 0, Gaussian theta0."""
+    """Initially quiescent buoyant bubble: no omega0 (the fluid starts at
+    rest), Gaussian theta0."""
     field = gaussian_field(amplitude, width, center=(0.0, -0.3))
-    state = init_grid(
-        extent,
-        n_per_axis,
-        theta0=field,
-        gamma_data=ScalarField(lambda a: np.zeros(len(a))),
-    )
-    if delta is None:
-        delta = default_delta(extent, n_per_axis)
-    return state, ModelSpec("boussinesq2d", delta)
+    return grid_run(model, extent, n_per_axis, delta, theta0=field)
 
 
+@_scenario("euler3d")
 def euler3d_ring(
+    model,
     n_per_axis=12,
     extent=((-1.5, 1.5), (-1.5, 1.5), (-1.0, 1.0)),
     ring_radius=0.8,
@@ -138,10 +171,7 @@ def euler3d_ring(
         out[..., 1] = a[..., 0] / rho_safe * amp
         return out
 
-    state = init_grid(extent, n_per_axis, gamma_data=VectorField(omega))
-    if delta is None:
-        delta = default_delta(extent, n_per_axis)
-    return state, ModelSpec("euler3d", delta)
+    return grid_run(model, extent, n_per_axis, delta, gamma_data=VectorField(omega))
 
 
 def seeded_sqg_cloud(
@@ -174,35 +204,12 @@ def seeded_sqg_cloud(
     return state, ModelSpec("sqg", delta, evolve_gradients=False)
 
 
-SCENARIOS = {
-    "two_vortex": two_vortex,
-    "vortex_pair": vortex_pair,
-    "sqg_bump": sqg_bump,
-    "ipm_stratified": ipm_stratified,
-    "ipm_bubble": ipm_bubble,
-    "boussinesq_bubble": boussinesq_bubble,
-    "euler3d_ring": euler3d_ring,
-}
-
-# the model each scenario builds, known before it is built: a grid sized for
-# one model's dimension breaks another model's builder
-SCENARIO_MODELS = {
-    "two_vortex": "euler2d",
-    "vortex_pair": "euler2d",
-    "sqg_bump": "sqg",
-    "ipm_stratified": "ipm",
-    "ipm_bubble": "ipm",
-    "boussinesq_bubble": "boussinesq2d",
-    "euler3d_ring": "euler3d",
-}
-
-
 def build_scenario(name: str, **overrides):
     if name not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
         )
-    return SCENARIOS[name](**overrides)
+    return SCENARIOS[name].build(**overrides)
 
 
 def corotation_closed_form(t: float) -> np.ndarray:

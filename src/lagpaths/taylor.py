@@ -40,6 +40,7 @@ from .dynamics import (
     evaluate_rhs,
     nearest_neighbor_pairs,
     operator_norms,
+    sampled_pairs,
 )
 from .errors import ConfigError, NumericalFailureError
 from .jets import Jet, KernelStream, mul_step
@@ -157,6 +158,8 @@ def time_jets_oracle(
                 inner += weight * term
             total += deriv_vals[alpha] * inner[:, :, None]
         xj[n + 1] = np.einsum("j,ijk->ik", w_rho, total) / (n + 1)
+    if not np.all(np.isfinite(xj)):
+        raise NumericalFailureError("non-finite jet coefficients")
     return TrajectoryJets(xj, state.t, spec.model, None)
 
 
@@ -437,6 +440,9 @@ def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstima
     root_pp = np.where(
         has_ratio | has_root, np.min(_or_inf(comp_root), axis=1), _or_inf(norm_root)
     )
+    # no ratio pair clears the noise floor when the coefficients span more
+    # than 14 decades; the root estimate still reads such a tail
+    ratio_pp = np.where(np.isinf(ratio_pp), root_pp, ratio_pp)
     # growth diagnostic on the smooth vector-norm ratio sequences
     growing_flags = np.zeros(0, dtype=bool)
     if order > 10:
@@ -570,14 +576,9 @@ def holder_stats(
         raise ConfigError("holder statistics need theta0 and grad_theta0")
     labels = state.labels
     n = state.n
-    pairs = [nearest_neighbor_pairs(labels, min(4, n - 1))]
-    if sample_pairs > 0:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=sample_pairs)
-        j = rng.integers(0, n, size=sample_pairs)
-        keep = i != j
-        pairs.append(np.stack([i[keep], j[keep]], axis=-1))
-    pairs = np.concatenate(pairs, axis=0)
+    pairs = sampled_pairs(
+        nearest_neighbor_pairs(labels, min(4, n - 1)), n, sample_pairs, seed
+    )
     dist = np.linalg.norm(labels[pairs[:, 0]] - labels[pairs[:, 1]], axis=-1)
     dgam = dist**gamma
 

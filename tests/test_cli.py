@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ def test_missing_model_rejected(tmp_path):
 def test_model_scenario_mismatch_rejected(tmp_path):
     path, _ = _write_config(tmp_path, model="sqg")
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "scenario", [name for name, s in scenarios.SCENARIOS.items() if not s.grid]
+)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"grid": {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8}},
+        {"regularization_delta": 0.3},
+    ],
+    ids=["grid", "delta"],
+)
+def test_point_scenario_refuses_grid_and_delta(tmp_path, capsys, scenario, overrides):
+    # a point scenario has a fixed layout and runs unregularized
+    path, _ = _write_config(tmp_path, scenario=scenario, **overrides)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "takes no grid or regularization_delta" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_for_another_model_rejected_before_building():
@@ -366,6 +386,15 @@ def test_taylor_command_summary_fields(tmp_path):
     orders = (tmp_path / "out" / "orders.csv").read_text().splitlines()
     assert orders[0] == "particle_id,n,coef_norm,ratio_est,root_est"
     assert len(orders) == 1 + 12 * 12 * (8 + 1)
+    # the taylor summary reports the radius-bound command's bound
+    assert main(["radius-bound", "--config", str(path)]) == 0
+    bound = json.loads((tmp_path / "out" / "radius_bound.json").read_text())
+    for key in ("R_paper", "C0", "C1"):
+        assert summary[key] == bound[key], key
+    for tag, enforced in (("enforced", True), ("unenforced", False)):
+        assert summary[f"{tag}_constraints"] == [
+            c["constraint"] for c in bound["constraints"] if c["enforced"] == enforced
+        ]
 
 
 def test_radius_bound_command(tmp_path):
@@ -734,8 +763,13 @@ def test_fuzzed_config_gives_run_or_config_error(raw):
 
 
 def test_scenario_model_table_matches_builders():
-    assert set(scenarios.SCENARIO_MODELS) == set(scenarios.SCENARIOS)
-    for name, model in scenarios.SCENARIO_MODELS.items():
-        small = {} if name in ("two_vortex", "vortex_pair") else {"n_per_axis": 3}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, entry in scenarios.SCENARIOS.items():
+        takes_grid = "yes" if entry.grid else "no"
+        assert f"| `{name}` | `{entry.model}` | {takes_grid} |" in readme, name
+        small = {"n_per_axis": 3} if entry.grid else {}
         _, spec = scenarios.build_scenario(name, **small)
-        assert spec.model == model, name
+        assert spec.model == entry.model, name
+        if not entry.grid:
+            with pytest.raises(TypeError):
+                scenarios.build_scenario(name, n_per_axis=3)

@@ -481,13 +481,28 @@ def test_coincident_particles_in_a_later_unit_raise(monkeypatch, threads):
 
 
 def test_non_finite_jets_raise():
-    # 1e-14 apart, |y|^-2 overflows by order 25: a NaN expansion must not
+    # |y|^-2 overflows for vortices this close: a NaN expansion must not
     # reach estimate_radius, which would read it as an infinite radius
+    spec = ModelSpec("euler2d", 0.0, evolve_gradients=False)
+    routes = ((time_jets_fast, 1e-14, 25), (time_jets_oracle, 1e-40, 8))
+    for route, gap, order in routes:
+        state = make_point_vortex_state([(0.0, 0.0), (gap, 0.0)], [1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite jet"):
+                route(spec, state, order)
+
+
+def test_estimate_radius_falls_back_on_root_estimate():
+    # 1e-14 apart at order 8 the coefficients rise from 1e-14 to 1e201, so
+    # no ratio pair clears the noise floor; the root test still gives a radius
     state = make_point_vortex_state([(0.0, 0.0), (1e-14, 0.0)], [1.0, 1.0])
     spec = ModelSpec("euler2d", 0.0, evolve_gradients=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalFailureError, match="non-finite jet"):
-            time_jets_fast(spec, state, 25)
+    with np.errstate(over="ignore"):
+        est = estimate_radius(time_jets_fast(spec, state, 8))
+    assert 0.0 < est.aggregate_root < 1e-20
+    assert est.per_particle_ratio.tobytes() == est.per_particle_root.tobytes()
+    assert est.aggregate == est.aggregate_root
+    assert not est.degenerate
 
 
 def test_readme_history_bytes():
