@@ -161,7 +161,7 @@ def suite_kernels() -> dict[str, kernels.KernelExpr]:
         expr = build()
         out[label] = expr
         out[f"{label}_inner"], out[f"{label}_outer"] = kernels.split_gaussian(expr)
-    out["sqg_stream_part"], out["sqg_bounded_part"] = kernels.decompose_kin("sqg")
+    out["sqg_stream_part"], out["sqg_bounded_part"] = kernels.decompose_kin()
     return out
 
 
@@ -327,10 +327,7 @@ class RunConfig:
         for key in _REQUIRED:
             if key not in raw:
                 raise ConfigError(f"missing required configuration key {key!r}")
-        try:
-            model = kernels.normalize_model_tag(raw["model"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        model = dynamics.normalize_model_tag(raw["model"])
         integ = dict(raw["integrator"])
         kind = integ.get("kind", "rk4")
         if kind not in ("rk4", "taylor"):

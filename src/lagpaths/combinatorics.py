@@ -236,32 +236,6 @@ def partitions_by_alpha(
     }
 
 
-def faa_di_bruno_1d(h_derivs: Sequence, g_derivs: Sequence, n: int):
-    """n-th derivative of h(g(x)) from the derivative lists of h and g.
-
-    ``h_derivs[k]`` is h^(k) evaluated at g(x0) and ``g_derivs[j]`` is
-    g^(j)(x0); both lists run from index 0 to at least n.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = h_derivs[0] * 0  # zero in the value type
-    n_fact = factorial(n)
-    for k in range(1, n + 1):
-        inner = None
-        for part in enumerate_partitions_1d(n, k):
-            weight = Fraction(n_fact, 1)
-            for kj in part.k:
-                weight /= factorial(kj)
-            term = weight
-            for j, kj in enumerate(part.k, start=1):
-                if kj:
-                    term = term * (g_derivs[j] / factorial(j)) ** kj
-            inner = term if inner is None else inner + term
-        if inner is not None:
-            total = total + h_derivs[k] * inner
-    return total
-
-
 def faa_di_bruno_multi(
     h_derivs: Mapping[MultiIndex, object],
     g_derivs: Sequence[Sequence],
@@ -428,21 +402,3 @@ def convolution_identity(m: int) -> tuple[Fraction, Fraction, bool]:
     lhs = Fraction(total, a_den * b_den)
     rhs = 4 * (-1) ** m * (m + 1) * binomial_half(m + 1)
     return lhs, rhs, lhs == rhs
-
-
-def truncated_series_product(
-    coeffs_list: Sequence[Sequence[Fraction]], order: int
-) -> list[Fraction]:
-    """Coefficients of the product of exact power series, truncated at order."""
-    prod = [Fraction(1)] + [Fraction(0)] * order
-    for coeffs in coeffs_list:
-        new = [Fraction(0)] * (order + 1)
-        for i, ci in enumerate(prod):
-            if ci == 0:
-                continue
-            for j in range(order + 1 - i):
-                cj = coeffs[j] if j < len(coeffs) else Fraction(0)
-                if cj:
-                    new[i + j] += ci * cj
-        prod = new
-    return prod

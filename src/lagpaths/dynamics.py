@@ -35,7 +35,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalFailureError
-from .kernels import normalize_model_tag
 
 TWO_PI = 2.0 * math.pi
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -204,6 +203,7 @@ class Model:
     """
 
     dim: int
+    kernel: str  # the name of K in kernels.catalog
     # rho is constant in time, so X evolves alone (the X-only Taylor route
     # and the oracle); other models always evolve G
     closed: bool
@@ -221,30 +221,47 @@ class Model:
 
 MODELS: dict[str, Model] = {
     "sqg": Model(
-        dim=2, closed=True, taylor=True, radial_power=3, label_field="theta0",
-        density=lambda s: _carried(s, "theta0"),
+        dim=2, kernel="perp_riesz", closed=True, taylor=True, radial_power=3,
+        label_field="theta0", density=lambda s: _carried(s, "theta0"),
     ),
     "euler2d": Model(
-        dim=2, closed=True, taylor=True, radial_power=2, label_field="gamma_data",
-        density=lambda s: _carried(s, "omega0"),
+        dim=2, kernel="biot_savart_2d", closed=True, taylor=True, radial_power=2,
+        label_field="gamma_data", density=lambda s: _carried(s, "omega0"),
     ),
     "ipm": Model(
-        dim=2, closed=False, taylor=True, radial_power=2, label_field="theta0",
-        density=lambda s: -_brackets_2d(s)[1],
+        dim=2, kernel="biot_savart_2d", closed=False, taylor=True, radial_power=2,
+        label_field="theta0", density=lambda s: -_brackets_2d(s)[1],
     ),
     # omega0 + W; without omega0 data the fluid starts at rest
     "boussinesq2d": Model(
-        dim=2, closed=False, taylor=False, radial_power=2, label_field="theta0",
+        dim=2, kernel="biot_savart_2d", closed=False, taylor=False, radial_power=2,
+        label_field="theta0",
         density=lambda s: (0.0 if s.omega0 is None else s.omega0) + s.boussinesq_w,
         w_rate=lambda s: _brackets_2d(s)[1],
     ),
     "euler3d": Model(
-        dim=3, closed=False, taylor=False, radial_power=3, label_field=None,
+        dim=3, kernel="biot_savart_3d", closed=False, taylor=False, radial_power=3,
+        label_field=None,
         density=lambda s: np.einsum(
             "nij,nj->ni", _carried(s, "grads"), _carried(s, "omega0")
         ),
     ),
 }
+
+# spellings besides the MODELS keys, once case, "-" and "_" are dropped
+MODEL_ALIASES = {
+    "2deuler": "euler2d", "boussinesq": "boussinesq2d", "3deuler": "euler3d"
+}
+
+
+def normalize_model_tag(tag: str) -> str:
+    """The MODELS key a model tag names, ignoring case, "-", "_" and
+    surrounding blanks."""
+    t = tag.strip().lower().replace("-", "").replace("_", "")
+    t = MODEL_ALIASES.get(t, t)
+    if t not in MODELS:
+        raise ConfigError(f"unknown model tag {tag!r}; expected one of {tuple(MODELS)}")
+    return t
 
 
 # pairs per block of a pairwise sum: each array of a block takes 256 KiB,

@@ -207,11 +207,10 @@ class ScalarKernel:
         grates = tuple(q + rate for q in self.grates)
         return ScalarKernel(self.dim, self.rows, self.den, grates)
 
-    def evaluate(self, y: np.ndarray) -> np.ndarray | float:
+    def evaluate(self, y: np.ndarray) -> np.ndarray:
         """Evaluate at y != 0; y has shape (..., dim).
 
-        The scalar path sums terms with exact (fsum) compensation; the
-        batched path accumulates in the fixed canonical term order.
+        The terms accumulate in the fixed canonical term order.
         """
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.dim:
@@ -222,19 +221,6 @@ class ScalarKernel:
         # the floats of KernelTerm.coeff_float: num / den is correctly rounded
         coeffs = [num / self.den * math.pi**p for _, _, _, p, num in self.rows]
         rates = [float(q) for q in self.grates]
-        if y.ndim == 1:
-            vals = []
-            r = math.sqrt(float(r2))
-            for (mono, rpow, g, _, _), v in zip(self.rows, coeffs):
-                for i, e in enumerate(mono):
-                    if e:
-                        v *= float(y[i]) ** e
-                if rpow:
-                    v *= r ** (-rpow)
-                if rates[g]:
-                    v *= math.exp(-rates[g] * r * r)
-                vals.append(v)
-            return math.fsum(vals)
         r = np.sqrt(r2)
         # each power, radial factor and Gaussian once per call, shared by terms
         rows = self.rows
@@ -329,26 +315,13 @@ class KernelExpr:
         vals = [c.evaluate(y) for c in self.comps]
         if not self.shape:
             return vals[0]
-        if y.ndim == 1:
-            return np.array(vals).reshape(self.shape)
         batch = y.shape[:-1]
         return np.stack(vals, axis=-1).reshape(batch + self.shape)
 
 
-def perp_grad(expr: KernelExpr) -> KernelExpr:
-    """Rotated gradient (-d/dy2, d/dy1) of a scalar 2D expression."""
-    if expr.shape != () or expr.dim != 2:
-        raise ValueError("perp_grad needs a scalar 2D expression")
-    s = expr.comps[0]
-    return KernelExpr.vector([-s.derive(1), s.derive(0)])
-
-
 class KernelCatalogEntry(NamedTuple):
-    model: str
     velocity_kernel: KernelExpr
     gradient_kernel: KernelExpr
-    singularity_order: int
-    gradient_singularity_order: int
 
 
 def _t(coeff, pi_pow, mono, rpow, grate=Fraction(0)) -> KernelTerm:
@@ -357,26 +330,6 @@ def _t(coeff, pi_pow, mono, rpow, grate=Fraction(0)) -> KernelTerm:
 
 def _sq(dim, *terms) -> ScalarKernel:
     return ScalarKernel.build(dim, terms)
-
-
-MODEL_TAGS = ("sqg", "euler2d", "ipm", "boussinesq2d", "euler3d")
-
-
-def normalize_model_tag(tag: str) -> str:
-    t = tag.strip().lower().replace("-", "").replace("_", "")
-    aliases = {
-        "sqg": "sqg",
-        "euler2d": "euler2d",
-        "2deuler": "euler2d",
-        "ipm": "ipm",
-        "boussinesq": "boussinesq2d",
-        "boussinesq2d": "boussinesq2d",
-        "euler3d": "euler3d",
-        "3deuler": "euler3d",
-    }
-    if t not in aliases:
-        raise ValueError(f"unknown model tag {tag!r}; expected one of {MODEL_TAGS}")
-    return aliases[t]
 
 
 def sqg_velocity_kernel() -> KernelExpr:
@@ -465,21 +418,22 @@ def strain_3d_kernel() -> KernelExpr:
     return KernelExpr.from_array(3, comps)
 
 
+# velocity and gradient kernel builders of each catalog kernel, by name; the
+# perp-Riesz gradient kernel is the velocity kernel, applied to grad theta0
+_CATALOG = {
+    "perp_riesz": (sqg_velocity_kernel, sqg_velocity_kernel),
+    "biot_savart_2d": (biot_savart_2d_kernel, strain_2d_kernel),
+    "biot_savart_3d": (biot_savart_3d_kernel, strain_3d_kernel),
+}
+
+
 @lru_cache(maxsize=None)
-def catalog(model: str) -> KernelCatalogEntry:
-    """Velocity and gradient kernels of one model, in exact form."""
-    tag = normalize_model_tag(model)
-    if tag == "sqg":
-        return KernelCatalogEntry(tag, sqg_velocity_kernel(), sqg_velocity_kernel(), -2, -2)
-    if tag in ("euler2d", "ipm", "boussinesq2d"):
-        return KernelCatalogEntry(
-            tag, biot_savart_2d_kernel(), strain_2d_kernel(), -1, -2
-        )
-    if tag == "euler3d":
-        return KernelCatalogEntry(
-            tag, biot_savart_3d_kernel(), strain_3d_kernel(), -2, -3
-        )
-    raise AssertionError(tag)
+def catalog(name: str) -> KernelCatalogEntry:
+    """Velocity and gradient kernels of one catalog kernel, in exact form."""
+    if name not in _CATALOG:
+        raise ValueError(f"unknown kernel {name!r}; expected one of {tuple(_CATALOG)}")
+    velocity, gradient = _CATALOG[name]
+    return KernelCatalogEntry(velocity(), gradient())
 
 
 def split_gaussian(expr: KernelExpr) -> tuple[KernelExpr, KernelExpr]:
@@ -495,16 +449,14 @@ def split_gaussian(expr: KernelExpr) -> tuple[KernelExpr, KernelExpr]:
     return inner, outer
 
 
-def decompose_kin(model: str = "sqg") -> tuple[KernelExpr, KernelExpr]:
+def decompose_kin() -> tuple[KernelExpr, KernelExpr]:
     """Stream-function split of the Gaussian-localized perp-Riesz kernel.
 
     Returns (k1, k2) with k1 = -exp(-|y|^2) / (2 pi |y|) scalar and
-    k2 = -y_perp exp(-|y|^2) / (pi |y|), so that perp_grad(k1) + k2 equals
-    the localized kernel exactly in the term algebra.
+    k2 = -y_perp exp(-|y|^2) / (pi |y|), so that the rotated gradient
+    (-d/dy2, d/dy1) of k1 plus k2 equals the localized kernel exactly in the
+    term algebra.
     """
-    tag = normalize_model_tag(model)
-    if tag != "sqg":
-        raise ValueError("the stream-function split is provided for the sqg kernel")
     k1 = KernelExpr.scalar(_sq(2, _t(Fraction(-1, 2), -1, (0, 0), 1, 1)))
     k2 = KernelExpr.vector(
         [

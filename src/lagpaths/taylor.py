@@ -115,7 +115,7 @@ def time_jets_oracle(
     if not model.closed:
         raise ConfigError("the oracle route needs a time-independent density")
     dens = model.density(state)
-    expr = _regularized(spec, catalog(spec.model).velocity_kernel)
+    expr = _regularized(spec, catalog(model.kernel).velocity_kernel)
     d = state.dim
     n_pts = state.n
     w_rho = state.weights * dens
@@ -193,7 +193,7 @@ def _jet_kernels(spec: ModelSpec, with_gradients: bool):
     generic expansion; see ``history_arrays``."""
     model = MODELS[spec.model]
     need_g = with_gradients or not model.closed
-    entry = catalog(spec.model)
+    entry = catalog(model.kernel)
     comps = _regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += _regularized(spec, entry.gradient_kernel).comps

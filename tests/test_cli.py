@@ -97,6 +97,29 @@ def test_grid_for_another_model_rejected_before_building():
             cli.build_run(config)
 
 
+@pytest.mark.parametrize(
+    "tag, model",
+    [(m, m) for m in ("sqg", "euler2d", "ipm", "boussinesq2d", "euler3d")]
+    + [
+        ("2D-Euler", "euler2d"),
+        ("2d_euler", "euler2d"),
+        (" IPM ", "ipm"),
+        ("Boussinesq", "boussinesq2d"),
+        ("3D-Euler", "euler3d"),
+    ],
+)
+def test_config_model_spellings(tag, model):
+    config = RunConfig.from_dict(
+        {
+            "model": tag,
+            "scenario": "two_vortex",
+            "integrator": {"kind": "rk4", "dt": 0.1, "t_end": 0.1},
+            "output": {"directory": "out"},
+        }
+    )
+    assert config.model == model
+
+
 _INLINE = {"field": "gaussian", "amplitude": 1.0, "width": 0.5}
 _GRID = {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8}
 _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}

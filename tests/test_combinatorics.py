@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from lagpaths.combinatorics import (
     convolution_identity,
     enumerate_partitions_1d,
     enumerate_partitions_multi,
-    faa_di_bruno_1d,
     faa_di_bruno_multi,
     magic_identity_1d,
     magic_identity_multi,
@@ -28,10 +28,56 @@ from lagpaths.combinatorics import (
     partitions_by_alpha,
     series_coefficients,
     sign_pow,
-    truncated_series_product,
 )
 
 F = Fraction
+
+
+# exact references that only these tests need
+
+
+def faa_di_bruno_1d(h_derivs: Sequence, g_derivs: Sequence, n: int):
+    """n-th derivative of h(g(x)) from the derivative lists of h and g.
+
+    ``h_derivs[k]`` is h^(k) evaluated at g(x0) and ``g_derivs[j]`` is
+    g^(j)(x0); both lists run from index 0 to at least n.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    total = h_derivs[0] * 0  # zero in the value type
+    n_fact = factorial(n)
+    for k in range(1, n + 1):
+        inner = None
+        for part in enumerate_partitions_1d(n, k):
+            weight = Fraction(n_fact, 1)
+            for kj in part.k:
+                weight /= factorial(kj)
+            term = weight
+            for j, kj in enumerate(part.k, start=1):
+                if kj:
+                    term = term * (g_derivs[j] / factorial(j)) ** kj
+            inner = term if inner is None else inner + term
+        if inner is not None:
+            total = total + h_derivs[k] * inner
+    return total
+
+
+def truncated_series_product(
+    coeffs_list: Sequence[Sequence[Fraction]], order: int
+) -> list[Fraction]:
+    """Coefficients of the product of exact power series, truncated at order."""
+    prod = [Fraction(1)] + [Fraction(0)] * order
+    for coeffs in coeffs_list:
+        new = [Fraction(0)] * (order + 1)
+        for i, ci in enumerate(prod):
+            if ci == 0:
+                continue
+            for j in range(order + 1 - i):
+                cj = coeffs[j] if j < len(coeffs) else Fraction(0)
+                if cj:
+                    new[i + j] += ci * cj
+        prod = new
+    return prod
 
 
 def test_binomial_half_values():

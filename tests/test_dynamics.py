@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from lagpaths.dynamics import (
     velocity,
 )
 from lagpaths.errors import ConfigError, NumericalFailureError
-from lagpaths.kernels import MODEL_TAGS, catalog
+from lagpaths.kernels import catalog
 from lagpaths.scenarios import (
     boussinesq_bubble,
     corotation_closed_form,
@@ -519,15 +520,26 @@ def test_threaded_rhs_bitwise_identical():
 
 
 def test_model_table_matches_kernel_catalog():
-    assert tuple(MODELS) == MODEL_TAGS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for tag, model in MODELS.items():
-        kernel = catalog(tag).velocity_kernel
+        # README "Models" gives each row's catalog name
+        row = f"| `{tag}` | "
+        assert any(
+            line.startswith(row) and f"| `{model.kernel}` |" in line
+            for line in readme.splitlines()
+        ), tag
+        kernel = catalog(model.kernel).velocity_kernel
         assert model.dim == kernel.dim, tag
         rpows = {t.rpow for comp in kernel.comps for t in comp.terms}
         assert rpows == {model.radial_power}, tag
         # a density that moves with G (or W) forces G to be evolved
         spec = ModelSpec(tag, evolve_gradients=False)
         assert spec.evolve_gradients == (not model.closed), tag
+
+
+def test_unknown_model_tag_is_config_error():
+    with pytest.raises(ConfigError, match="unknown model tag"):
+        ModelSpec("navier_stokes")
 
 
 # -- source-major pair blocks against the einsum kernels they replaced ---------

@@ -247,12 +247,12 @@ def test_kernel_on_jet_agrees_with_faa_di_bruno():
     rng = np.random.default_rng(202)
     exprs = [
         (sqg_velocity_kernel(), 6),
-        (catalog("euler2d").velocity_kernel, 6),
-        (catalog("euler2d").gradient_kernel, 6),
+        (catalog("biot_savart_2d").velocity_kernel, 6),
+        (catalog("biot_savart_2d").gradient_kernel, 6),
         (split_gaussian(sqg_velocity_kernel())[0], 6),
         (regularize(sqg_velocity_kernel(), 0.5), 6),
-        (catalog("euler3d").velocity_kernel, 4),
-        (catalog("euler3d").gradient_kernel, 3),
+        (catalog("biot_savart_3d").velocity_kernel, 4),
+        (catalog("biot_savart_3d").gradient_kernel, 3),
     ]
     for expr, n_max in exprs:
         y = _poly_jet(rng, n_max, expr.dim)
@@ -317,7 +317,7 @@ def test_kernel_stream_bitwise_equals_full_jet_evaluation(batch):
     exprs = [
         regularize(sqg_velocity_kernel(), 0.125),
         regularize(strain_2d_kernel(), 0.3),
-        catalog("euler3d").gradient_kernel,
+        catalog("biot_savart_3d").gradient_kernel,
         regularize(biot_savart_2d_kernel(), 0.5).derive_multi((1, 2)),
         split_gaussian(sqg_velocity_kernel())[1],
     ]

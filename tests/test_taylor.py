@@ -319,7 +319,7 @@ def _row_block_jets(spec, state, order, with_gradients):
     twice, and the self pairs get a dummy displacement that is zeroed."""
     model = MODELS[spec.model]
     need_g = with_gradients or not model.closed
-    entry = catalog(spec.model)
+    entry = catalog(model.kernel)
     comps = taylor._regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += taylor._regularized(spec, entry.gradient_kernel).comps

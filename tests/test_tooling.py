@@ -37,7 +37,12 @@ def test_tracer_targets_resolve():
             obj = getattr(obj, attr, None)
         if not callable(obj):
             missing.append(target)
+        # the traced run reads each cached target's cache_info() for its
+        # hit ratio
+        elif target in tracer.CACHED and not hasattr(obj, "cache_info"):
+            missing.append(f"{target}.cache_info")
     assert not missing, missing
+    assert set(tracer.CACHED) <= set(tracer.TARGETS)
 
 
 def test_benchmark_env_probe_runs():
