@@ -655,7 +655,7 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     jets = taylor.time_jets_fast(
         spec, state, order, with_gradients=with_g, threads=threads
     )
-    est = taylor.estimate_radius(jets, method="ratio")
+    est = taylor.estimate_radius(jets)
     fitted_c, fitted_r, satisfied = taylor.fit_cauchy(jets)
 
     lines = ["particle_id,n,coef_norm,ratio_est,root_est"]

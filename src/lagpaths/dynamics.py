@@ -19,8 +19,9 @@ run over source particles j != i):
 with K2 the 2D Biot-Savart kernel and Ksqg the perp-Riesz kernel.  The label
 gradient obeys dG/dt = (grad u) G, with grad u assembled from the model's
 strain sum plus the local vorticity rotation (2D) or vorticity cross product
-(3D).  All pairwise reductions use a fixed per-row summation order, so
-results are bitwise independent of the worker-thread count.
+(3D).  Each unordered pair is formed once, in fixed work units whose
+partial sums are added in a fixed order, so results are bitwise independent
+of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -208,10 +209,6 @@ class Model:
     # and the oracle); other models always evolve G
     closed: bool
     taylor: bool  # time-Taylor jets are provided
-    # p in K = y_perp / (2 pi |y|^p): 3 for the SQG perp-Riesz kernel, whose
-    # derivative is not integrable, so grad theta0 is transported instead;
-    # 2 for Biot-Savart, whose gradient is the strain kernel plus rho R / 2
-    radial_power: int
     label_field: Optional[str]  # init_grid field an inline scalar scenario fills
     # rho of each particle; linear in G, so it also maps G jets to rho jets
     # (in 3D the carried Cauchy vorticity G omega0, a vector)
@@ -221,26 +218,26 @@ class Model:
 
 MODELS: dict[str, Model] = {
     "sqg": Model(
-        dim=2, kernel="perp_riesz", closed=True, taylor=True, radial_power=3,
+        dim=2, kernel="perp_riesz", closed=True, taylor=True,
         label_field="theta0", density=lambda s: _carried(s, "theta0"),
     ),
     "euler2d": Model(
-        dim=2, kernel="biot_savart_2d", closed=True, taylor=True, radial_power=2,
+        dim=2, kernel="biot_savart_2d", closed=True, taylor=True,
         label_field="gamma_data", density=lambda s: _carried(s, "omega0"),
     ),
     "ipm": Model(
-        dim=2, kernel="biot_savart_2d", closed=False, taylor=True, radial_power=2,
+        dim=2, kernel="biot_savart_2d", closed=False, taylor=True,
         label_field="theta0", density=lambda s: -_brackets_2d(s)[1],
     ),
     # omega0 + W; without omega0 data the fluid starts at rest
     "boussinesq2d": Model(
-        dim=2, kernel="biot_savart_2d", closed=False, taylor=False, radial_power=2,
+        dim=2, kernel="biot_savart_2d", closed=False, taylor=False,
         label_field="theta0",
         density=lambda s: (0.0 if s.omega0 is None else s.omega0) + s.boussinesq_w,
         w_rate=lambda s: _brackets_2d(s)[1],
     ),
     "euler3d": Model(
-        dim=3, kernel="biot_savart_3d", closed=False, taylor=False, radial_power=3,
+        dim=3, kernel="biot_savart_3d", closed=False, taylor=False,
         label_field=None,
         density=lambda s: np.einsum(
             "nij,nj->ni", _carried(s, "grads"), _carried(s, "omega0")
@@ -264,8 +261,9 @@ def normalize_model_tag(tag: str) -> str:
     return t
 
 
-# pairs per block of a pairwise sum: each array of a block takes 256 KiB,
-# and a run of a few hundred particles has a block for every thread
+# pairs per work unit of a pairwise sum, and per block of the neighbour
+# search: each array of a unit takes 256 KiB, and a run of a few hundred
+# particles has a unit for every thread
 PAIR_BLOCK = 2**15
 
 
@@ -284,46 +282,50 @@ def _run_chunks(fn, n: int, threads: int = 1, budget: Optional[int] = None) -> l
         return list(pool.map(fn, chunks))
 
 
+def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Work units of an n-particle pair sum that hold each pair once.
+
+    The particles are cut into contiguous tiles of equal size (the last one
+    may be shorter), about sqrt(PAIR_BLOCK) each, and a unit is a pair of
+    tiles (I, J >= I) in row-major order.  The boundaries depend on n and
+    PAIR_BLOCK only.
+    """
+    tiles = -(-n // math.isqrt(PAIR_BLOCK))
+    side = -(-n // tiles)
+    edges = [(s, min(s + side, n)) for s in range(0, n, side)]
+    return [(ti, tj) for a, ti in enumerate(edges) for tj in edges[a:]]
+
+
+def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
+    """The (..., n) pair sum whose unit u adds unit_fn(u) = (row partial
+    sums (..., I), source partial sums (..., J) or None).
+
+    Each unit is a chunk of its own, and the partial sums are added in unit
+    order, so the result does not depend on the thread count.
+    """
+    parts = _run_chunks(
+        lambda c: unit_fn(c[0]), len(units), threads, budget=len(units)
+    )
+    total = np.zeros(parts[0][0].shape[:-1] + (n,))
+    for ((i0, i1), (j0, j1)), (rows, sources) in zip(units, parts):
+        total[..., i0:i1] += rows
+        if sources is not None:
+            total[..., j0:j1] += sources
+    return total
+
+
 def _reg_factor(r2: np.ndarray, delta: float) -> np.ndarray | float:
     if delta == 0.0:
         return 1.0
     return -np.expm1(-r2 / (delta * delta))
 
 
-def _pair_block(cols, i0: int, i1: int):
-    """Displacements X_i - X_j from every source j to the target rows i0:i1.
-
-    Source-major: component k is a C-contiguous (sources, rows) array with
-    Y[k][j, i - i0] = X[i, k] - X[j, k].  Returns the components, |y|^2 with
-    the self pairs lifted to 1, and the index of the self pairs.
-    """
-    Y = [x[None, i0:i1] - x[:, None] for x in cols]
-    # y0^2 + y1^2, and (y0^2 + y2^2) + y1^2 in 3D: the einsum kernels' order
-    r2 = Y[0] * Y[0]
-    for y in Y[:0:-1]:
-        r2 += y * y
-    self_pairs = (np.arange(i0, i1), np.arange(i1 - i0))
-    r2[self_pairs] = 1.0
-    # with the self pairs lifted, any zero is a collision
-    if not r2.all():
-        raise NumericalFailureError("coincident particles in pairwise sum")
-    return Y, r2, self_pairs
-
-
-def _source_dot(spec: str, a, b) -> np.ndarray:
-    """``np.einsum(spec, a, b)``, where spec sums over the sources j of the
-    (sources, rows) block b and keeps the rows i last.
-
-    einsum reads each array once and adds the sources in index order, one
-    at a time, except on a one-column block, which it sums as a contiguous
-    vector, pairwise; there the products are summed by cumsum, which never
-    does.
-    """
-    if b.shape[1] > 1:
-        return np.einsum(spec, a, b)
-    inputs, out = spec.split("->")
-    p = np.einsum(f"{inputs}->{out[:-1]}j{out[-1]}", a, b)
-    return np.cumsum(p, axis=-2)[..., -1, :]
+# the Levi-Civita symbol: (a x b)_k = EPS3[k, i, j] a_i b_j
+EPS3 = np.zeros((3, 3, 3))
+EPS3[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+EPS3[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+# index of the 3D strain component y_a y_b among the a <= b pairs
+SYM3 = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def evaluate_rhs(
@@ -333,61 +335,102 @@ def evaluate_rhs(
 
     Returns (u, grad_u, w_dot); grad_u is the Eulerian gradient along the
     path, i.e. the matrix that left-multiplies G in dG/dt = (grad u) G.
+
+    Every pair sum is sum_j W_cj k(X_i - X_j) over the model's weight rows
+    W_c and kernel components k, formed once per unordered pair on the
+    ``_pair_units`` tiles (see README, "Pair sums").
     """
     model = MODELS[spec.model]
     w = state.weights
     delta = spec.regularization_delta
     need_grad = need_grad and spec.evolve_gradients
-    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
-
+    transported = model.kernel == "perp_riesz"  # grad theta0 rides along (SQG)
+    dens = model.density(state)
     if model.dim == 3:
-        u, grad_u = _rhs_euler3d(spec, state, threads, need_grad)
+        if delta == 0.0:
+            raise ConfigError("euler3d requires a positive regularization delta")
+        W = w * dens.T  # w times the Cauchy vorticity, (3, N)
     else:
-        cols = list(state.positions.T)
-        dens = model.density(state)
-        # source weights: w rho, and for SQG's gradient w grad theta on the
-        # path, (w b2, -w b1)
+        # w rho, and for SQG's gradient w grad theta on the path, (w b2, -w b1)
         W = [w * dens]
         if need_grad and transported:
             b1, b2 = _brackets_2d(state)
             W += [w * b2, w * -b1]
         W = np.stack(W)
 
-        def chunk_fn(rng):
-            (y0, y1), r2, self_pairs = _pair_block(cols, *rng)
-            f = _reg_factor(r2, delta)
-            rp = TWO_PI * r2  # 2 pi |y|^p
-            if transported:
-                rp = rp * np.sqrt(r2)
-            radial = f / rp
-            k = (-y1 * radial, y0 * radial)
-            for c in k:
-                c[self_pairs] = 0.0
-            sums = [_source_dot("cj,ji->ci", W, c) for c in k]  # (len(W), rows)
-            u_chunk = np.stack([row[0] for row in sums], axis=-1)
-            if not need_grad:
-                return u_chunk, None
-            if transported:
-                g = [row[m] for row in sums for m in (1, 2)]
-            else:
-                # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
-                # over r^4, regularized
-                s = f / (TWO_PI * r2 * r2)
-                e11 = 2.0 * y0 * y1 * s
-                e12 = (y1**2 - y0**2) * s
-                e11[self_pairs] = e12[self_pairs] = 0.0
-                a, b = (_source_dot("j,ji->i", W[0], e) for e in (e11, e12))
-                g = [a, b, b, -a]
-            return u_chunk, np.stack(g, axis=-1).reshape(-1, 2, 2)
+    def components(y, r2):
+        """The kernel components on a tile, each with its parity p,
+        k(-y) = p k(y); every one vanishes at y = 0."""
+        f = _reg_factor(r2, delta)
+        if model.dim == 3:
+            r = np.sqrt(r2)
+            kr = f / (4.0 * math.pi * r2 * r)  # K = y f / (4 pi |y|^3)
+            for c in y:
+                yield c * kr, -1.0
+            if need_grad:
+                s = 3.0 * f / (8.0 * math.pi * r2 * r2 * r)
+                for a, b in zip(*np.triu_indices(3)):
+                    yield s * y[a] * y[b], 1.0
+            return
+        rp = TWO_PI * r2  # 2 pi |y|^2, times |y| for the perp-Riesz kernel
+        if transported:
+            rp = rp * np.sqrt(r2)
+        radial = f / rp
+        yield -y[1] * radial, -1.0
+        yield y[0] * radial, -1.0
+        if need_grad and not transported:
+            # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
+            # over r^4, regularized
+            s = f / (TWO_PI * r2 * r2)
+            yield 2.0 * y[0] * y[1] * s, 1.0
+            yield (y[1] ** 2 - y[0] ** 2) * s, 1.0
 
-        parts = _run_chunks(chunk_fn, state.n, threads)
-        u = np.concatenate([p[0] for p in parts], axis=0)
-        grad_u = None
+    cols = list(state.positions.T)
+    units = _pair_units(state.n)
+
+    def unit_sums(u):
+        (i0, i1), (j0, j1) = units[u]
+        # source-major: y[k][j, i] = X[i0 + i, k] - X[j0 + j, k]
+        y = [x[None, i0:i1] - x[j0:j1, None] for x in cols]
+        r2 = y[0] * y[0]
+        for c in y[1:]:
+            r2 += c * c
+        # a diagonal unit sums all of I x I into its rows; lifting |y|^2 of
+        # the self pairs keeps their components at 0
+        diagonal = i0 == j0
+        if diagonal:
+            np.fill_diagonal(r2, 1.0)
+        # with the self pairs lifted, any zero is a collision
+        if not r2.all():
+            raise NumericalFailureError("coincident particles in pairwise sum")
+        rows, sources = [], []
+        for k, parity in components(y, r2):
+            rows.append(np.einsum("cj,ji->ci", W[:, j0:j1], k))
+            if not diagonal:
+                sources.append(parity * np.einsum("ci,ji->cj", W[:, i0:i1], k))
+        return np.stack(rows), np.stack(sources) if sources else None
+
+    # (component, weight row, particle)
+    total = _unit_order_sum(unit_sums, units, state.n, threads)
+    grad_u = None
+    if model.dim == 3:
+        # u = sum_j (w omega)_j x K(Y_ij)
+        u = np.einsum("kca,acn->nk", EPS3, total[:3])
         if need_grad:
-            grad_u = np.concatenate([p[1] for p in parts], axis=0)
-            if not transported:
-                # local vorticity rotation, half the carried vorticity value
-                grad_u = grad_u + 0.5 * dens[:, None, None] * ROT90
+            # s (z Y^T + Y z^T) with z = Y x (w omega)_j, plus the local
+            # rotation by half the Cauchy vorticity
+            g = np.einsum("kac,amcn->nkm", EPS3, total[3:][SYM3])
+            rot = np.einsum("kim,ni->nkm", EPS3, dens)
+            grad_u = g + g.transpose(0, 2, 1) + 0.5 * rot
+    else:
+        u = total[:2, 0].T
+        if need_grad and transported:
+            grad_u = np.moveaxis(total[:2, 1:], 2, 0)
+        elif need_grad:
+            a, b = total[2, 0], total[3, 0]
+            grad_u = np.stack([a, b, b, -a], axis=-1).reshape(-1, 2, 2)
+            # local vorticity rotation, half the carried vorticity value
+            grad_u = grad_u + 0.5 * dens[:, None, None] * ROT90
     w_dot = None if model.w_rate is None else model.w_rate(state)
 
     if not np.all(np.isfinite(u)) or (
@@ -395,65 +438,6 @@ def evaluate_rhs(
     ):
         raise NumericalFailureError("non-finite right-hand side")
     return u, grad_u, w_dot
-
-
-def _rhs_euler3d(spec, state, threads, need_grad):
-    cols = list(state.positions.T)
-    delta = spec.regularization_delta
-    if delta == 0.0:
-        raise ConfigError("euler3d requires a positive regularization delta")
-    wvec = MODELS[spec.model].density(state)  # Cauchy vorticity
-    ww = [c[:, None] for c in (state.weights[:, None] * wvec).T]
-
-    def chunk_fn(rng):
-        Y, r2, self_pairs = _pair_block(cols, *rng)
-        f = _reg_factor(r2, delta)
-        r = np.sqrt(r2)
-        inv_r3 = f / (4.0 * math.pi * r2 * r)
-        # (w_j omega_j) x Y_ij, component by component as np.cross forms it
-        cross = [
-            ww[(k + 1) % 3] * Y[(k + 2) % 3] - ww[(k + 2) % 3] * Y[(k + 1) % 3]
-            for k in range(3)
-        ]
-        for c in cross:
-            c[self_pairs] = 0.0
-        u_chunk = np.stack(
-            [_source_dot("ji,ji->i", c, inv_r3) for c in cross], axis=-1
-        )
-        if not need_grad:
-            return u_chunk, None
-        s = 3.0 * f / (8.0 * math.pi * r2 * r2 * r)
-        zxw = [-c for c in cross]  # (Y x omega_j), weights already folded in
-        sz = [s * z for z in zxw]
-        sy = [s * y for y in Y]
-        # s (zxw Y^T + Y zxw^T), each product formed as (s a) b
-        g = [
-            _source_dot("ji,ji->i", sz[k], Y[m])
-            + _source_dot("ji,ji->i", sy[k], zxw[m])
-            for k in range(3)
-            for m in range(3)
-        ]
-        return u_chunk, np.stack(g, axis=-1).reshape(-1, 3, 3)
-
-    parts = _run_chunks(chunk_fn, state.n, threads)
-    u = np.concatenate([p[0] for p in parts], axis=0)
-    grad_u = None
-    if need_grad:
-        grad_u = np.concatenate([p[1] for p in parts], axis=0)
-        grad_u = grad_u + 0.5 * _cross_matrix(wvec)
-    return u, grad_u
-
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    """Batched matrix [v]_x with [v]_x b = v x b."""
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
 
 
 def velocity(spec: ModelSpec, state: ParticleState, threads: int = 1) -> np.ndarray:

@@ -36,7 +36,8 @@ from .dynamics import (
     ModelSpec,
     ParticleState,
     _brackets_2d,
-    _run_chunks,
+    _pair_units,
+    _unit_order_sum,
     evaluate_rhs,
     nearest_neighbor_pairs,
     operator_norms,
@@ -49,9 +50,8 @@ from .kernels import KernelExpr, catalog, regularize
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
 FAST_MAX_ORDER = 25
-# time_jets_fast: pairs per square tile of the work-unit grid, and the bytes
-# of pair-jet history the units of one expansion may keep across orders
-JET_BLOCK_PAIRS = 2**15
+# time_jets_fast: the bytes of pair-jet history the units of one expansion
+# may keep across orders
 JET_CACHE_BYTES = 64 * 2**20
 
 
@@ -166,21 +166,6 @@ def time_jets_oracle(
 # -- jet propagation ----------------------------------------------------------
 
 
-def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Work units of an n-particle pair sum that hold each pair i < j once.
-
-    The particles are cut into contiguous tiles of equal size (the last one
-    may be shorter), about sqrt(JET_BLOCK_PAIRS) each, and a unit is a pair
-    of tiles (I, J >= I) in row-major order: all of I x J, or the pairs above
-    the diagonal of I x I.  The boundaries depend on n and JET_BLOCK_PAIRS
-    only.
-    """
-    tiles = -(-n // math.isqrt(JET_BLOCK_PAIRS))
-    side = -(-n // tiles)
-    edges = [(s, min(s + side, n)) for s in range(0, n, side)]
-    return [(ti, tj) for a, ti in enumerate(edges) for tj in edges[a:]]
-
-
 @lru_cache(maxsize=8)  # one expansion has at most four tile shapes
 def _tile_pairs(rows: int, cols: int, diagonal: bool) -> np.ndarray:
     """Local (row, source) indices of a unit's pairs, in row-major order."""
@@ -197,7 +182,7 @@ def _jet_kernels(spec: ModelSpec, with_gradients: bool):
     comps = _regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += _regularized(spec, entry.gradient_kernel).comps
-    transported = model.radial_power == 3  # grad theta0 rides along (SQG)
+    transported = model.kernel == "perp_riesz"  # grad theta0 rides along (SQG)
     # a pair sum that multiplies the kernel by a jet reads its history
     keep = need_g and (transported or not model.closed)
     layout = KernelStream(comps)
@@ -313,16 +298,7 @@ def time_jets_fast(
                 )
             return sides[0], parity[:, None, None] * sides[1]
 
-        # a budget of one row per chunk makes each unit a chunk; the partial
-        # sums are added in unit order, so the result does not depend on the
-        # thread count
-        parts = _run_chunks(
-            lambda c: unit_sums(c[0]), len(units), threads, budget=len(units)
-        )
-        total = np.zeros((unique, sum(a.shape[1] for a in wr), n_pts))
-        for ((i0, i1), (j0, j1)), (rows_sum, source_sum) in zip(units, parts):
-            total[..., i0:i1] += rows_sum
-            total[..., j0:j1] += source_sum
+        total = _unit_order_sum(unit_sums, units, n_pts, threads)
         s = layout.expand(total[:, 0])
         xj[n + 1] = s[:d].T / (n + 1)
 
@@ -371,13 +347,13 @@ class RadiusEstimate:
     per_particle_root: np.ndarray
     aggregate_ratio: float
     aggregate_root: float
-    method: str = "ratio"
     degenerate: bool = False  # all-zero coefficient tails
     growing: bool = False  # estimates increase with order: no finite radius
 
     @property
     def aggregate(self) -> float:
-        return self.aggregate_ratio if self.method == "ratio" else self.aggregate_root
+        """The ratio estimate, which falls back on the root estimate."""
+        return self.aggregate_ratio
 
 
 _TINY = 1e-300
@@ -414,10 +390,8 @@ def _tail_estimates(seqs: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray
     return np.where(k > 0, ratio, np.nan), np.where(np.any(nz, axis=0), root, np.nan)
 
 
-def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstimate:
+def estimate_radius(jets: TrajectoryJets) -> RadiusEstimate:
     """Ratio- and root-test radius estimates from the top half of the orders."""
-    if method not in ("ratio", "root"):
-        raise ConfigError("method must be 'ratio' or 'root'")
     order = jets.order
     if order < 4:
         raise ConfigError("radius estimation needs order >= 4")
@@ -456,7 +430,6 @@ def estimate_radius(jets: TrajectoryJets, method: str = "ratio") -> RadiusEstima
         per_particle_root=root_pp,
         aggregate_ratio=float(np.min(ratio_pp)),
         aggregate_root=float(np.min(root_pp)),
-        method=method,
         degenerate=degenerate,
         growing=bool(growing_flags.size and growing_flags.all()),
     )
@@ -494,7 +467,7 @@ def taylor_step(
     state: ParticleState,
     order: int,
     safety: float,
-    h_cap: Optional[float] = None,
+    h_cap: float,
     threads: int = 1,
     jets: Optional[TrajectoryJets] = None,
 ) -> tuple[ParticleState, dict]:
@@ -512,11 +485,9 @@ def taylor_step(
         jets = time_jets_fast(
             spec, state, order, with_gradients=spec.evolve_gradients, threads=threads
         )
-    est = estimate_radius(jets, method="ratio")
+    est = estimate_radius(jets)
     radius = est.aggregate
-    if not np.isfinite(radius) and h_cap is None:
-        raise ConfigError("no finite radius estimate and no step cap supplied")
-    h = safety * min(radius, h_cap if h_cap is not None else np.inf)
+    h = safety * min(radius, h_cap)
     if not (np.isfinite(h) and h > 0):
         raise NumericalFailureError("taylor step size degenerate")
     new_positions = jets.positions_at(h)

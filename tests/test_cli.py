@@ -368,7 +368,7 @@ def test_taylor_coincident_particles_exit_3(tmp_path, monkeypatch, capsys):
         return state.replace(positions=positions), spec
 
     monkeypatch.setattr(cli, "build_run", coincident)
-    monkeypatch.setattr(taylor, "JET_BLOCK_PAIRS", 16)  # 3 tiles of 3: 6 units
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 16)  # 3 tiles of 3: 6 units
     cfg = {
         "model": "ipm",
         "scenario": "ipm_bubble",

@@ -530,8 +530,6 @@ def test_model_table_matches_kernel_catalog():
         ), tag
         kernel = catalog(model.kernel).velocity_kernel
         assert model.dim == kernel.dim, tag
-        rpows = {t.rpow for comp in kernel.comps for t in comp.terms}
-        assert rpows == {model.radial_power}, tag
         # a density that moves with G (or W) forces G to be evolved
         spec = ModelSpec(tag, evolve_gradients=False)
         assert spec.evolve_gradients == (not model.closed), tag
@@ -542,7 +540,7 @@ def test_unknown_model_tag_is_config_error():
         ModelSpec("navier_stokes")
 
 
-# -- source-major pair blocks against the einsum kernels they replaced ---------
+# -- pair units against the einsum kernels they replaced ----------------------
 
 
 def _einsum_rhs(spec, state, need_grad):
@@ -579,7 +577,7 @@ def _einsum_rhs(spec, state, need_grad):
             rot[:, 2, 0], rot[:, 2, 1] = -wvec[:, 1], wvec[:, 0]
             grad_u = grad_u + 0.5 * rot
         return u, grad_u
-    transported = model.radial_power == 3
+    transported = model.kernel == "perp_riesz"
     dens = model.density(state)
     wd = w * dens
     rp = TWO_PI * r2
@@ -644,30 +642,71 @@ def _bits(a):
     return None if a is None else a.tobytes()
 
 
+def _assert_close(got, ref, case):
+    """Within 1e-13 of the largest |entry| of the reference."""
+    if ref is None:
+        assert got is None, case
+        return
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), case
+
+
 @pytest.mark.parametrize("regularized", [True, False], ids=["delta", "no_delta"])
 @pytest.mark.parametrize("model", list(_BLOCK_CASES))
 def test_source_major_blocks_bitwise_equal_einsum_kernels(
     monkeypatch, model, regularized
 ):
+    """The pair units against the einsum reference.  The units add each
+    pair's terms to its row and to its source, so the sums no longer run in
+    index order and are close to the reference, not bitwise equal."""
     if model == "euler3d" and not regularized:
         pytest.skip("euler3d needs a positive delta")
     state, spec = _stepped_case(model, regularized)
     n = state.n
-    # one block; 1-row blocks; 7-row blocks with a short last block
-    for block in (dynamics.PAIR_BLOCK, n, 7 * n):
-        assert n % 7 != 0
-        monkeypatch.setattr(dynamics, "PAIR_BLOCK", block)
-        rows = min(n, block // n)
-        assert len(dynamics._run_chunks(lambda c: c, n)) == -(-n // rows)
+    assert n % 7 != 0
+    # one unit; tiles of 7 with a short last tile; one-particle tiles
+    for side, tiles in ((math.isqrt(dynamics.PAIR_BLOCK), 1), (7, -(-n // 7)), (1, n)):
+        monkeypatch.setattr(dynamics, "PAIR_BLOCK", side * side)
+        assert len(dynamics._pair_units(n)) == tiles * (tiles + 1) // 2
         for need_grad in (True, False):
             u_ref, g_ref = _einsum_rhs(spec, state, need_grad)
             for threads in (1, 2):
                 u, g, _ = evaluate_rhs(spec, state, threads, need_grad)
-                case = (block // n, need_grad, threads)
-                assert _bits(u) == _bits(u_ref), case
-                assert _bits(g) == _bits(g_ref), case
+                case = (side, need_grad, threads)
+                _assert_close(u, u_ref, case)
+                _assert_close(g, g_ref, case)
 
 
+@pytest.mark.parametrize("model", list(_BLOCK_CASES))
+def test_pair_units_threaded_bitwise_identical(monkeypatch, model):
+    # 55 units, of tiles of 10 (100 particles) or 13 with a short last
+    # one of 8 (125): neither 2 nor 3 threads get equal shares
+    state, spec = _stepped_case(model, True)
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 13 * 13 if state.dim == 3 else 100)
+    assert len(dynamics._pair_units(state.n)) == 55
+    for need_grad in (True, False):
+        u1, g1, _ = evaluate_rhs(spec, state, 1, need_grad)
+        assert (g1 is None) != need_grad
+        for threads in (2, 3):
+            u, g, _ = evaluate_rhs(spec, state, threads, need_grad)
+            assert _bits(u) == _bits(u1), (need_grad, threads)
+            assert _bits(g) == _bits(g1), (need_grad, threads)
+
+
+@pytest.mark.parametrize("unit", ["diagonal", "off_diagonal"])
+@pytest.mark.parametrize("model", ["sqg", "euler3d"])
+def test_coincident_pair_in_a_unit_is_reported(monkeypatch, model, unit):
+    state, spec = _BLOCK_CASES[model]()
+    # ten tiles; particle 0 meets particle 1 in the first diagonal unit, or
+    # the last particle in the unit of the first and the last tile
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 13 * 13 if state.dim == 3 else 100)
+    other = 1 if unit == "diagonal" else state.n - 1
+    (i0, i1), _ = dynamics._pair_units(state.n)[0]
+    assert (i0 <= other < i1) == (unit == "diagonal")
+    positions = state.positions.copy()
+    positions[other] = positions[0]
+    for threads in (1, 2):
+        with pytest.raises(NumericalFailureError, match="coincident"):
+            evaluate_rhs(spec, state.replace(positions=positions), threads)
 @pytest.mark.parametrize("model", ["sqg", "euler3d"])
 def test_collision_in_a_later_block_is_reported(monkeypatch, model):
     state, spec = _BLOCK_CASES[model]()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagpaths import taylor
+from lagpaths import dynamics, taylor
 from lagpaths.dynamics import (
     MODELS,
     ROT90,
@@ -269,9 +269,9 @@ def test_euler2d_grid_gradient_jets_consistent_with_rk4():
 
 
 def _units_for(monkeypatch, n, side, count):
-    """Set JET_BLOCK_PAIRS to tiles of ``side`` particles; check the count."""
-    monkeypatch.setattr(taylor, "JET_BLOCK_PAIRS", side * side)
-    assert len(taylor._pair_units(n)) == count
+    """Set PAIR_BLOCK to tiles of ``side`` particles; check the count."""
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", side * side)
+    assert len(dynamics._pair_units(n)) == count
     return count
 
 
@@ -323,7 +323,7 @@ def _row_block_jets(spec, state, order, with_gradients):
     comps = taylor._regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += taylor._regularized(spec, entry.gradient_kernel).comps
-    transported = model.radial_power == 3
+    transported = model.kernel == "perp_riesz"
     keep = need_g and (transported or not model.closed)
     d, n_pts, w = state.dim, state.n, state.weights
     rows = -(-n_pts // -(-n_pts * n_pts // 2**15))
