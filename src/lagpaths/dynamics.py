@@ -297,8 +297,9 @@ def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 
 
 def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
-    """The (..., n) pair sum whose unit u adds unit_fn(u) = (row partial
-    sums (..., I), source partial sums (..., J) or None).
+    """The (..., n) pair sum over ``units``: unit_fn(u) returns unit u's
+    row partial sums, (..., I), and its source partial sums, (..., J) or
+    None.
 
     Each unit is a chunk of its own, and the partial sums are added in unit
     order, so the result does not depend on the thread count.

@@ -692,27 +692,19 @@ def test_pair_units_threaded_bitwise_identical(monkeypatch, model):
             assert _bits(g) == _bits(g1), (need_grad, threads)
 
 
-@pytest.mark.parametrize("unit", ["diagonal", "off_diagonal"])
-@pytest.mark.parametrize("model", ["sqg", "euler3d"])
-def test_coincident_pair_in_a_unit_is_reported(monkeypatch, model, unit):
-    state, spec = _BLOCK_CASES[model]()
-    # ten tiles; particle 0 meets particle 1 in the first diagonal unit, or
-    # the last particle in the unit of the first and the last tile
-    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 13 * 13 if state.dim == 3 else 100)
-    other = 1 if unit == "diagonal" else state.n - 1
-    (i0, i1), _ = dynamics._pair_units(state.n)[0]
-    assert (i0 <= other < i1) == (unit == "diagonal")
-    positions = state.positions.copy()
-    positions[other] = positions[0]
-    for threads in (1, 2):
-        with pytest.raises(NumericalFailureError, match="coincident"):
-            evaluate_rhs(spec, state.replace(positions=positions), threads)
 @pytest.mark.parametrize("model", ["sqg", "euler3d"])
 def test_collision_in_a_later_block_is_reported(monkeypatch, model):
     state, spec = _BLOCK_CASES[model]()
-    positions = state.positions.copy()
-    positions[-1] = positions[0]  # the last row sits in the last block
-    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 3 * state.n)
-    for threads in (1, 2):
-        with pytest.raises(NumericalFailureError, match="coincident"):
-            evaluate_rhs(spec, state.replace(positions=positions), threads)
+    # ten tiles; particle 0 meets particle 1 in the first, diagonal unit, or
+    # the last particle in the unit of the first and the last tile
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 13 * 13 if state.dim == 3 else 100)
+    units = dynamics._pair_units(state.n)
+    assert len(units) == 55
+    (i0, i1), (j0, j1) = units[9]
+    assert i0 == 0 and i1 > 1 and j0 < state.n - 1 < j1 == state.n
+    for other in (1, state.n - 1):
+        positions = state.positions.copy()
+        positions[other] = positions[0]
+        for threads in (1, 2):
+            with pytest.raises(NumericalFailureError, match="coincident"):
+                evaluate_rhs(spec, state.replace(positions=positions), threads)
