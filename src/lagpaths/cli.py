@@ -496,8 +496,11 @@ def diag_row(rec: dynamics.DiagnosticsRecord) -> str:
     return ",".join(parts)
 
 
-def _is_point_vortex(state: dynamics.ParticleState, spec: dynamics.ModelSpec):
-    return spec.model == "euler2d" and spec.regularization_delta == 0.0
+def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
+    """A constant density on the unregularized 2D Biot-Savart kernel."""
+    model = dynamics.MODELS[spec.model]
+    planar = model.closed and model.kernel == "biot_savart_2d"
+    return planar and spec.regularization_delta == 0.0
 
 
 def _collect_diagnostics(
@@ -514,7 +517,7 @@ def _collect_diagnostics(
         else None
     )
     ham = mom = ang = None
-    if _is_point_vortex(state, spec):
+    if _is_point_vortex(spec):
         ham, p, ang = dynamics.invariants_euler2d(state)
         mom = (float(p[0]), float(p[1]))
     return dynamics.DiagnosticsRecord(
@@ -592,7 +595,7 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
             rec, rhs = diagnose(state)
 
     drifts = {}
-    if _is_point_vortex(state, spec):
+    if _is_point_vortex(spec):
         drifts = {
             "hamiltonian": abs(rec.hamiltonian - first.hamiltonian),
             "momentum": [

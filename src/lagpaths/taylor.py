@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -166,13 +165,6 @@ def time_jets_oracle(
 # -- jet propagation ----------------------------------------------------------
 
 
-@lru_cache(maxsize=8)  # one expansion has at most four tile shapes
-def _tile_pairs(rows: int, cols: int, diagonal: bool) -> np.ndarray:
-    """Local (row, source) indices of a unit's pairs, in row-major order."""
-    i, j = np.indices((rows, cols)).reshape(2, -1)
-    return np.stack([i[i < j], j[i < j]]) if diagonal else np.stack([i, j])
-
-
 def _jet_kernels(spec: ModelSpec, with_gradients: bool):
     """(need_g, transported, keep, stream layout, history arrays) of a
     generic expansion; see ``history_arrays``."""
@@ -209,9 +201,9 @@ def time_jets_fast(
     Gradients are carried when requested, and always for models whose
     density moves with G (ipm: the bracket -{theta0, X_2}).
 
-    Each work unit's pair jets are streamed, each unordered pair once (see
-    README, "Jet routes"); only coefficient n of each pair sum and of
-    G' = (grad u) G is formed at order n.
+    Each work unit's pair jets are streamed on its source-major tile, each
+    unordered pair once (see README, "Jet routes"); only coefficient n of
+    each pair sum and of G' = (grad u) G is formed at order n.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
@@ -225,14 +217,11 @@ def time_jets_fast(
     # K(X_j - X_i) = parity K(X_i - X_j): one push serves both particles
     parity = np.array([c.parity for c in layout.unique], dtype=float)
     units = _pair_units(n_pts)
-    pairs = [
-        _tile_pairs(i1 - i0, j1 - j0, i0 == j0).shape[1]
-        for (i0, i1), (j0, j1) in units
-    ]
-    # units whose histories fit the budget keep their stream across orders;
-    # the rest rebuild it from coefficient 0 at every order
-    per_pair = 8 * max(order, 1) * arrays
-    cached = np.cumsum(pairs) * per_pair <= JET_CACHE_BYTES
+    # units whose histories fit the budget, each counted at its tile size,
+    # keep their stream across orders; the rest rebuild it from coefficient 0
+    # at every order
+    cells = np.cumsum([(i1 - i0) * (j1 - j0) for (i0, i1), (j0, j1) in units])
+    cached = cells * 8 * max(order, 1) * arrays <= JET_CACHE_BYTES
     states: dict = {}
 
     xj = np.zeros((order + 1, n_pts, d))
@@ -262,41 +251,48 @@ def time_jets_fast(
 
         def unit_sums(u):
             (i0, i1), (j0, j1) = units[u]
-            ii, jj = _tile_pairs(i1 - i0, j1 - j0, i0 == j0)
+            diagonal = i0 == j0
+            if diagonal:
+                jj, ii = np.tril_indices(i1 - i0, -1)
             if u in states:
-                stream, y, kept = states[u]
+                stream, y, tiles = states[u]
             else:
                 length = order if cached[u] else n + 1
                 stream = KernelStream(layout.unique)
-                y = np.empty((length, d, len(ii)))
-                kept = np.empty((length, unique, len(ii))) if keep else None
+                shape = (j1 - j0, i1 - i0)
+                y = np.empty((length, d) + ((len(ii),) if diagonal else shape))
+                # the kept kernel jets on the tile, or a diagonal unit's one
+                # current coefficient; zero off a diagonal unit's triangle
+                tiles = np.zeros((length if keep else int(diagonal), unique) + shape)
                 if cached[u]:
-                    states[u] = stream, y, kept
-            # the gathers take the particle axis with np.take, which gives
-            # C-contiguous results; a[..., idx] would be strided, and the
-            # products below read it several times slower
-            m = stream.n  # displacement coefficients m..n are new to it
-            y[m : n + 1] = np.take(xt[m:], i0 + ii, -1) - np.take(xt[m:], j0 + jj, -1)
-            while stream.n <= n:
-                k = stream.push(y)  # (unique, pairs)
-                if keep:
-                    kept[stream.n - 1] = k
-            # coefficient n of sum_j wr_j k(X_i - X_j) for each row i and of
-            # sum_i wr_i k(X_j - X_i) for each source j, (unique, m, tile)
-            sides = []
-            for own, other, size in ((ii, j0 + jj, i1 - i0), (jj, i0 + ii, j1 - j0)):
-                t = []
-                for a in wr:
-                    a = np.take(a, other, -1)[:, None]  # (length, 1, m, pairs)
-                    if len(a) == 1:  # constant weights
-                        t.append(k[:, None] * a[0])
-                    else:
-                        t.append(mul_step(kept[:, :, None], a, n))
-                t = np.concatenate(t, axis=1)
-                sides.append(
-                    np.array([[np.bincount(own, v, size) for v in c] for c in t])
+                    states[u] = stream, y, tiles
+            # source-major: y[q, :, j, i] = X_i^(q) - X_j^(q); coefficients
+            # m..n are new to the stream
+            m = stream.n
+            if diagonal:
+                np.subtract(xt[m:, :, i0 + ii], xt[m:, :, i0 + jj], out=y[m : n + 1])
+            else:
+                np.subtract(
+                    xt[m:, :, None, i0:i1], xt[m:, :, j0:j1, None], out=y[m : n + 1]
                 )
-            return sides[0], parity[:, None, None] * sides[1]
+            while stream.n <= n:
+                q = stream.n
+                k = stream.push(y)  # (unique, pairs) or (unique, J, I)
+                if diagonal and (keep or q == n):
+                    tiles[q if keep else 0][:, jj, ii] = k
+                    k = tiles[q if keep else 0]
+                elif keep:
+                    tiles[q] = k
+            # coefficient n of sum_j wr_j k(X_i - X_j) for each row i and of
+            # sum_i wr_i k(X_j - X_i) for each source j, (unique, m, tile): a
+            # jet weight's Cauchy product with the kernel jets, a constant k's
+            rows, sources = [], []
+            for a in wr:
+                a, kq = (a, k[None]) if len(a) == 1 else (a[n::-1], tiles[: n + 1])
+                rows.append(np.einsum("qcj,quji->uci", a[..., j0:j1], kq))
+                sources.append(np.einsum("qci,quji->ucj", a[..., i0:i1], kq))
+            sources = parity[:, None, None] * np.concatenate(sources, axis=1)
+            return np.concatenate(rows, axis=1), sources
 
         total = _unit_order_sum(unit_sums, units, n_pts, threads)
         s = layout.expand(total[:, 0])
@@ -314,13 +310,11 @@ def time_jets_fast(
                 if n < len(r):
                     m_n += 0.5 * r[n][:, None, None] * ROT90
             m_hist[n] = m_n
-            g_n = np.zeros((n_pts, d, d))
-            for a in range(d):
-                for c in range(d):
-                    acc = np.zeros(n_pts)
-                    for k in range(d):
-                        acc += mul_step(m_hist[:, :, a, k], gj[:, :, k, c], n)
-                    g_n[:, a, c] = acc
+            # coefficient n of sum_k M_ak G_kc
+            g_n = sum(
+                mul_step(m_hist[:, :, :, k, None], gj[:, :, None, k], n)
+                for k in range(d)
+            )
             gj[n + 1] = g_n / (n + 1)
 
     if not np.all(np.isfinite(xj)) or (need_g and not np.all(np.isfinite(gj))):
@@ -475,6 +469,8 @@ def taylor_step(
 
     The step is safety * min(radius estimate, cap); the expansion is redone
     from scratch at the new time on the next call (analyticity is local).
+    A step at or below 2^-52 safety * cap, which would stall the run, raises
+    ``NumericalFailureError``.
     ``jets`` is that expansion at ``state`` (gradient jets included when
     ``spec.evolve_gradients``) when the caller already has it.
     """
@@ -488,7 +484,7 @@ def taylor_step(
     est = estimate_radius(jets)
     radius = est.aggregate
     h = safety * min(radius, h_cap)
-    if not (np.isfinite(h) and h > 0):
+    if not (np.isfinite(h) and h > np.finfo(float).eps * safety * h_cap):
         raise NumericalFailureError("taylor step size degenerate")
     new_positions = jets.positions_at(h)
     if not np.all(np.isfinite(new_positions)):

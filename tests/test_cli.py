@@ -282,6 +282,17 @@ def test_simulate_two_vortex_outputs(tmp_path):
     assert diag_lines[0] == DIAG_HEADER
 
 
+def test_point_vortex_invariants_only_for_euler2d():
+    # the Hamiltonian, momentum and angular-impulse columns follow MODELS
+    point = [
+        model
+        for model in dynamics.MODELS
+        if cli._is_point_vortex(dynamics.ModelSpec(model, 0.0))
+    ]
+    assert point == ["euler2d"]
+    assert not cli._is_point_vortex(dynamics.ModelSpec("euler2d", 0.1))
+
+
 def _per_value_state_rows(state):
     """The per-value formatting loop that append_state_rows replaced."""
 

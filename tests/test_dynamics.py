@@ -652,9 +652,7 @@ def _assert_close(got, ref, case):
 
 @pytest.mark.parametrize("regularized", [True, False], ids=["delta", "no_delta"])
 @pytest.mark.parametrize("model", list(_BLOCK_CASES))
-def test_source_major_blocks_bitwise_equal_einsum_kernels(
-    monkeypatch, model, regularized
-):
+def test_pair_units_match_einsum_kernels(monkeypatch, model, regularized):
     """The pair units against the einsum reference.  The units add each
     pair's terms to its row and to its source, so the sums no longer run in
     index order and are close to the reference, not bitwise equal."""

@@ -452,7 +452,9 @@ def test_each_pair_is_pushed_once(monkeypatch):
     push = KernelStream.push
 
     def spy(stream, y):
-        pushed.setdefault(stream.n, []).append(y[0].T.copy())
+        # coefficient 0 of every streamed pair: a diagonal unit's (d, pairs)
+        # triangle or a (d, J, I) tile
+        pushed.setdefault(stream.n, []).append(y[0].reshape(y.shape[1], -1).T.copy())
         return push(stream, y)
 
     monkeypatch.setattr(KernelStream, "push", spy)
@@ -505,6 +507,16 @@ def test_estimate_radius_falls_back_on_root_estimate():
     assert not est.degenerate
 
 
+def test_taylor_step_floor_raises():
+    # the root estimate of two vortices 1e-14 apart gives h = 3.6e-26 at
+    # order 8, so a run from this state would need about 1e24 steps
+    state = make_point_vortex_state([(0.0, 0.0), (1e-14, 0.0)], [1.0, 1.0])
+    spec = ModelSpec("euler2d", 0.0, evolve_gradients=False)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalFailureError, match="step size degenerate"):
+            taylor_step(spec, state, 8, safety=0.5, h_cap=0.04)
+
+
 def test_readme_history_bytes():
     """The per-pair table and the example in README "Jet routes"."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -521,8 +533,13 @@ def test_readme_history_bytes():
         ]
         assert f"| {label} | {counts[0]} / {counts[1]} " in readme, label
     n, order = 256, 8
-    arrays = taylor.history_arrays(ModelSpec("ipm", 0.1), True)
-    mb = 8 * arrays * order * n * (n - 1) // 2 / 1e6
+    spec = ModelSpec("ipm", 0.1)
+    arrays = taylor.history_arrays(spec, True)
+    unique = len(taylor._jet_kernels(spec, True)[3].unique)
+    # two tiles of 128: every pair, plus each diagonal unit's kernel jets on
+    # the 128 * 129 / 2 cells outside its triangle
+    cells = arrays * n * (n - 1) // 2 + unique * 2 * (128 * 129 // 2)
+    mb = 8 * order * cells / 1e6
     assert f"{n}-particle `ipm` expansion at order {order} keeps {mb:.0f} MB" in readme
 
 

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,25 @@ def test_tracer_rhs_labels_cover_every_model():
     from lagpaths.dynamics import MODELS
 
     assert _load_tracer().LABELS["dynamics.evaluate_rhs"] == tuple(MODELS)
+
+
+def test_benchmark_oracle_check_within_tolerance(tmp_path):
+    # verify_suites' oracle check: 16 particles in one diagonal unit, held to
+    # the tolerance the benchmark reads as correct
+    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports tracer
+    try:
+        tol = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["ORACLE_TOL"]
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for seed in (1, 424242):
+        out = tmp_path / f"oracle_{seed}.json"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"), "oracle",
+             str(seed), "8", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(out.read_text())
+        assert result["n"] == 16
+        assert result["max_rel_diff"] <= tol, (seed, result)
