@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  All outputs are JSON (reports, run summaries) or CSV
 (time series); runs are deterministic for a fixed config and seed, bitwise
 independent of the worker-thread count.
+
+The module top imports only the standard library, ``combinatorics`` and
+``errors``; each function imports the numeric layers it uses, so that
+``verify-identities`` runs without numpy and ``verify-kernels`` loads
+``kernels`` alone.
 """
 
 from __future__ import annotations
@@ -16,10 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import combinatorics as comb
-from . import dynamics, kernels, scenarios, taylor
 from .errors import ConfigError, NumericalFailureError
 
 
@@ -130,10 +132,11 @@ def run_identity_suite(max_n: int, dims: list[int]) -> VerificationReport:
 
 
 CIRCLE_MEAN_KERNELS = (
-    # (name in the circle-mean cases, label in the envelope cases, builder)
-    ("sqg", "sqg", kernels.sqg_velocity_kernel),
-    ("biot_savart_2d", "biot_savart", kernels.biot_savart_2d_kernel),
-    ("strain_2d", "strain2d", kernels.strain_2d_kernel),
+    # (name in the circle-mean cases, label in the envelope cases, builder
+    # in kernels)
+    ("sqg", "sqg", "sqg_velocity_kernel"),
+    ("biot_savart_2d", "biot_savart", "biot_savart_2d_kernel"),
+    ("strain_2d", "strain2d", "strain_2d_kernel"),
 )
 
 KERNEL_BOUND_CHECKS = (
@@ -156,9 +159,11 @@ def suite_kernels() -> dict[str, kernels.KernelExpr]:
     of its Gaussian split, "<label>_inner" and "<label>_outer"; then the
     stream-function split of the localized SQG kernel.
     """
+    from . import kernels
+
     out = {}
     for _, label, build in CIRCLE_MEAN_KERNELS:
-        expr = build()
+        expr = getattr(kernels, build)()
         out[label] = expr
         out[f"{label}_inner"], out[f"{label}_outer"] = kernels.split_gaussian(expr)
     out["sqg_stream_part"], out["sqg_bounded_part"] = kernels.decompose_kin()
@@ -169,6 +174,10 @@ def run_kernel_suite(
     c_k: float, max_order: int, samples: int, seed: int
 ) -> VerificationReport:
     """Derivative envelopes at the given constant, plus circle means."""
+    import numpy as np
+
+    from . import kernels
+
     if not 1 <= samples <= MAX_KERNEL_SAMPLES:
         raise ConfigError(f"samples must lie in 1..{MAX_KERNEL_SAMPLES}")
     if seed < 0:
@@ -177,6 +186,12 @@ def run_kernel_suite(
         raise ConfigError("max_order must lie in 1..6")
     if not (math.isfinite(c_k) and c_k > 0):
         raise ConfigError("c_k must be positive and finite")
+    try:  # the largest envelope factor; a float power raises past the range
+        top = c_k**max_order * math.factorial(max_order)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ConfigError("c_k**max_order * max_order! must be a finite float")
     cases, info = [], []
     pts = kernels.bound_samples(samples, 2, seed=seed)
     built = suite_kernels()
@@ -267,8 +282,8 @@ _REQUIRED = ("model", "scenario", "integrator", "output")
 MAX_PARTICLES = 2**20
 # chord_arc draws and gathers every sampled pair at once, some 100 bytes each
 MAX_PAIR_SAMPLES = 2**22
-# verify-kernels evaluates each derivative on all samples at once, some 300
-# bytes of peak memory per sample
+# verify-kernels evaluates each derivative on all samples at once and keeps
+# the factors the terms share, some 330 bytes of peak memory per sample
 MAX_KERNEL_SAMPLES = 2**20
 
 
@@ -323,6 +338,8 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
+        from . import dynamics, taylor
+
         _check_keys(raw, _SCHEMA)
         for key in _REQUIRED:
             if key not in raw:
@@ -396,6 +413,8 @@ class RunConfig:
 
 def build_run(config: RunConfig):
     """Resolve the scenario into a (state, spec) pair, honoring overrides."""
+    from . import dynamics, scenarios
+
     overrides = {}
     if config.grid is not None:
         overrides["extent"] = tuple(tuple(ax) for ax in config.grid["extent"])
@@ -456,6 +475,10 @@ def state_csv_header(dim: int) -> str:
 
 
 def append_state_rows(lines: list[str], state: dynamics.ParticleState) -> None:
+    import numpy as np
+
+    from . import dynamics
+
     if state.theta0 is not None:
         data_col = state.theta0
     elif state.omega0 is not None and state.omega0.ndim == 1:
@@ -498,6 +521,8 @@ def diag_row(rec: dynamics.DiagnosticsRecord) -> str:
 
 def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
     """A constant density on the unregularized 2D Biot-Savart kernel."""
+    from . import dynamics
+
     model = dynamics.MODELS[spec.model]
     planar = model.closed and model.kernel == "biot_savart_2d"
     return planar and spec.regularization_delta == 0.0
@@ -506,6 +531,8 @@ def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
 def _collect_diagnostics(
     state, spec, grad_u, grad_u_hist, times, pair_samples, seed, neighbors
 ) -> dynamics.DiagnosticsRecord:
+    from . import dynamics
+
     sup = dynamics.grad_u_sup(grad_u)
     grad_u_hist.append(sup)
     times.append(state.t)
@@ -540,6 +567,8 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     initial state, saves the first Taylor step from expanding again.  Writes
     state.csv and diagnostics.csv into ``config.output_dir``, which must exist.
     """
+    from . import dynamics, taylor
+
     state, spec = run
     integ = config.integrator
     kind = integ["kind"]
@@ -626,6 +655,10 @@ def _extent_sensitivity(state, spec, u_full, threads) -> Optional[float]:
     """Relative change of the fastest particle's speed when the outermost
     label shell is dropped: a direct measure of domain-truncation error.
     ``u_full`` is the velocity of the whole state."""
+    import numpy as np
+
+    from . import dynamics
+
     if state.n < 16:
         return None
     lo = state.labels.min(axis=0)
@@ -651,6 +684,10 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     Returns the summary, the orders.csv lines and the jets, which carry what a
     first Taylor step needs (their X coefficients are the same either way).
     """
+    import numpy as np
+
+    from . import taylor
+
     state, spec = run
     taylor.ensure_taylor_model(spec)
     order = config.integrator["taylor_order"]
@@ -708,6 +745,8 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
 def run_radius_bound(config: RunConfig, run: tuple) -> dict:
     """Holder statistics and the explicit radius bound; ``run`` is
     ``build_run(config)``."""
+    from . import taylor
+
     state, _spec = run
     if state.theta0 is None or state.grad_theta0 is None:
         raise ConfigError("radius bound needs scalar data (theta0) scenarios")

@@ -315,8 +315,16 @@ def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
     return total
 
 
+# -expm1(-x) rounds to exactly 1.0 once exp(-x) < 2^-54, x > 54 ln 2 = 37.43;
+# 40 leaves a margin for the rounding of expm1 itself
+REG_SATURATED = 40.0
+
+
 def _reg_factor(r2: np.ndarray, delta: float) -> np.ndarray | float:
-    if delta == 0.0:
+    """The blob factor 1 - exp(-|y|^2 / delta^2) of a tile: 1.0 without
+    regularization, and 1.0 as well where every pair of the tile lies past
+    ``REG_SATURATED``, which gives the bytes the full factor would."""
+    if delta == 0.0 or r2.min() / (delta * delta) > REG_SATURATED:
         return 1.0
     return -np.expm1(-r2 / (delta * delta))
 

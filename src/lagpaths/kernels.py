@@ -207,39 +207,61 @@ class ScalarKernel:
         grates = tuple(q + rate for q in self.grates)
         return ScalarKernel(self.dim, self.rows, self.den, grates)
 
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate at y != 0; y has shape (..., dim).
+    def evaluate(self, y) -> np.ndarray:
+        """Evaluate at y != 0; y is a ``SampleSet`` or an array of shape
+        (..., dim).
 
         The terms accumulate in the fixed canonical term order.
         """
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.dim:
-            raise ValueError(f"expected last axis {self.dim}, got {y.shape}")
-        r2 = np.sum(y * y, axis=-1)
-        if np.any(r2 == 0.0):
-            raise SingularEvaluationError("kernel evaluated at y = 0")
-        # the floats of KernelTerm.coeff_float: num / den is correctly rounded
-        coeffs = [num / self.den * math.pi**p for _, _, _, p, num in self.rows]
+        s = y if isinstance(y, SampleSet) else SampleSet(y)
+        if s.dim != self.dim:
+            raise ValueError(f"expected last axis {self.dim}, got {s.y.shape}")
         rates = [float(q) for q in self.grates]
-        r = np.sqrt(r2)
-        # each power, radial factor and Gaussian once per call, shared by terms
-        rows = self.rows
-        monos = {(i, e) for row in rows for i, e in enumerate(row[0]) if e}
-        powers = {(i, e): y[..., i] ** e for i, e in monos}
-        radial = {p: r ** (-float(p)) for p in {row[1] for row in rows if row[1]}}
-        gauss = {g: np.exp(-rates[g] * r2) for g in range(len(rates)) if rates[g]}
-        total = np.zeros(r2.shape)
-        for (mono, rpow, g, _, _), c in zip(rows, coeffs):
-            v = np.full(r2.shape, c)
+        total = np.zeros(s.r2.shape)
+        for mono, rpow, g, pi_pow, num in self.rows:
+            # the float of KernelTerm.coeff_float: num / den is correctly rounded
+            v = num / self.den * math.pi**pi_pow
             for i, e in enumerate(mono):
                 if e:
-                    v = v * powers[i, e]
+                    v = v * s.power(i, e)
             if rpow:
-                v = v * radial[rpow]
+                v = v * s.radial(rpow)
             if rates[g]:
-                v = v * gauss[g]
+                v = v * s.gaussian(rates[g])
             total += v
         return total
+
+
+class SampleSet:
+    """Points y of shape (..., dim), none at 0, with the factors kernel
+    terms draw on: the powers y_i**e, the radial factors |y|**-p and the
+    Gaussians exp(-q |y|**2).  Each factor is formed once, on first use, and
+    kept, so every kernel and derivative evaluated on one set shares them.
+    """
+
+    def __init__(self, y):
+        self.y = np.asarray(y, dtype=float)
+        self.dim = self.y.shape[-1]
+        self.r2 = np.sum(self.y * self.y, axis=-1)
+        if np.any(self.r2 == 0.0):
+            raise SingularEvaluationError("kernel evaluated at y = 0")
+        self._factors: dict[tuple, np.ndarray] = {}
+
+    def _factor(self, key: tuple, make) -> np.ndarray:
+        out = self._factors.get(key)
+        if out is None:
+            out = self._factors[key] = make()
+        return out
+
+    def power(self, axis: int, e: int) -> np.ndarray:
+        return self._factor(("y", axis, e), lambda: self.y[..., axis] ** e)
+
+    def radial(self, p: int) -> np.ndarray:
+        r = self._factor(("r",), lambda: np.sqrt(self.r2))
+        return self._factor(("r", p), lambda: r ** (-float(p)))
+
+    def gaussian(self, rate: float) -> np.ndarray:
+        return self._factor(("g", rate), lambda: np.exp(-rate * self.r2))
 
 
 @dataclass(frozen=True)
@@ -309,14 +331,14 @@ class KernelExpr:
             self.dim, self.shape, tuple(c.times_gaussian(rate) for c in self.comps)
         )
 
-    def evaluate(self, y: np.ndarray):
-        """Evaluate all components; returns shape (*batch, *self.shape)."""
-        y = np.asarray(y, dtype=float)
-        vals = [c.evaluate(y) for c in self.comps]
+    def evaluate(self, y):
+        """Evaluate all components on one ``SampleSet`` (or an array of
+        shape (*batch, dim)); returns shape (*batch, *self.shape)."""
+        s = y if isinstance(y, SampleSet) else SampleSet(y)
+        vals = [c.evaluate(s) for c in self.comps]
         if not self.shape:
             return vals[0]
-        batch = y.shape[:-1]
-        return np.stack(vals, axis=-1).reshape(batch + self.shape)
+        return np.stack(vals, axis=-1).reshape(s.r2.shape + self.shape)
 
 
 class KernelCatalogEntry(NamedTuple):
@@ -504,22 +526,19 @@ def verify_derivative_bound(
     times exp(-|y|^2/2) when gaussian_decay is set.  Reports the worst ratio
     per order; the envelope holds on the sample set iff every ratio <= 1.
     """
-    samples = np.asarray(samples, dtype=float)
-    r = np.linalg.norm(samples, axis=-1)
+    pts = SampleSet(samples)  # every derivative shares its factors
+    r = np.linalg.norm(pts.y, axis=-1)
+    decay = np.exp(-(r**2) / 2.0) if gaussian_decay else 1.0
     worst: dict[int, float] = {}
     for order in range(max_order + 1):
+        envelope = c_k**order * math.factorial(order) * r ** (-(order + power_offset))
+        envelope = envelope * decay  # times 1.0 is exact
         ratios = []
         for alpha in itertools.product(range(order + 1), repeat=expr.dim):
             if sum(alpha) != order:
                 continue
-            deriv = expr.derive_multi(alpha)
-            vals = deriv.evaluate(samples)
-            mag = np.abs(vals).reshape(len(samples), -1).max(axis=1)
-            envelope = (
-                c_k**order * math.factorial(order) * r ** (-(order + power_offset))
-            )
-            if gaussian_decay:
-                envelope = envelope * np.exp(-(r**2) / 2.0)
+            vals = expr.derive_multi(alpha).evaluate(pts)
+            mag = np.abs(vals).reshape(len(r), -1).max(axis=1)
             ratios.append(np.max(mag / envelope))
         # np.max keeps a NaN that the builtin max would skip
         worst[order] = float(np.max(ratios))

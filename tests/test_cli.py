@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +495,45 @@ def test_verify_kernels_exit_codes(tmp_path, capsys):
     assert main(["verify-kernels", "--seed", "-1"]) == 2
     too_many = str(cli.MAX_KERNEL_SAMPLES + 1)
     assert main(["verify-kernels", "--samples", too_many]) == 2
+    # c_k**max_order * max_order! beyond the float range: c_k**5 overflows
+    # at 1e300, and at 1e52 the power is finite but order 6 is not
+    assert main(["verify-kernels", "--ck", "1e300"]) == 2
+    assert main(["verify-kernels", "--ck", "1e52", "--max-order", "6"]) == 2
+
+
+def _modules_loaded_by(argv):
+    """The lagpaths modules and numpy that cli.main(argv) loads in a fresh
+    interpreter; its exit code must be 0."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lagpaths import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "names = [m for m in sys.modules if m == 'numpy' or m.startswith('lagpaths')]\n"
+        "print(json.dumps([code, names]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    exit_code, names = json.loads(done.stdout)
+    assert exit_code == 0
+    return set(names)
+
+
+def test_verify_identities_runs_without_numpy():
+    loaded = _modules_loaded_by(["verify-identities", "--max-n", "4"])
+    assert "lagpaths.combinatorics" in loaded
+    assert "numpy" not in loaded
+
+
+def test_verify_kernels_loads_only_the_kernel_layer():
+    loaded = _modules_loaded_by(["verify-kernels", "--samples", "64", "--max-order", "2"])
+    assert "lagpaths.kernels" in loaded
+    for name in ("dynamics", "scenarios", "jets", "taylor"):
+        assert f"lagpaths.{name}" not in loaded
 
 
 def test_verify_kernels_report_is_byte_stable(tmp_path):

@@ -674,6 +674,37 @@ def test_pair_units_match_einsum_kernels(monkeypatch, model, regularized):
                 _assert_close(g, g_ref, case)
 
 
+def test_regularization_factor_saturates_past_its_bound():
+    x = np.linspace(dynamics.REG_SATURATED, 800.0, 2_000_001)
+    assert np.all(-np.expm1(-x) == 1.0)
+    assert -np.expm1(-36.0) < 1.0  # the bound sits near the limit 54 ln 2
+
+
+@pytest.mark.parametrize("model", ["sqg", "euler2d", "euler3d"])
+def test_saturated_units_give_the_bytes_of_the_full_factor(monkeypatch, model):
+    """Two clusters far apart in units of delta: the units between them
+    take the factor 1.0, and the sums keep every byte."""
+    state, spec = _stepped_case(model, True)
+    positions = state.positions.copy()
+    positions[state.n // 2:, 0] += 50.0 * spec.regularization_delta
+    state = state.replace(positions=positions)
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 13 * 13 if state.dim == 3 else 100)
+    factors = []
+    reg_factor = dynamics._reg_factor
+    monkeypatch.setattr(
+        dynamics, "_reg_factor", lambda *a: factors.append(reg_factor(*a)) or factors[-1]
+    )
+    for need_grad in (True, False):
+        u, g, _ = evaluate_rhs(spec, state, 2, need_grad)
+        saturated = [isinstance(f, float) for f in factors]
+        assert any(saturated) and not all(saturated)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "REG_SATURATED", math.inf)
+            u_full, g_full, _ = evaluate_rhs(spec, state, 2, need_grad)
+        assert _bits(u) == _bits(u_full), need_grad
+        assert _bits(g) == _bits(g_full), need_grad
+
+
 @pytest.mark.parametrize("model", list(_BLOCK_CASES))
 def test_pair_units_threaded_bitwise_identical(monkeypatch, model):
     # 55 units, of tiles of 10 (100 particles) or 13 with a short last

@@ -17,6 +17,7 @@ from lagpaths.errors import SingularEvaluationError
 from lagpaths.kernels import (
     KernelExpr,
     KernelTerm,
+    SampleSet,
     ScalarKernel,
     biot_savart_2d_kernel,
     bound_samples,
@@ -105,6 +106,51 @@ def test_evaluate_catalog_points():
 def test_evaluate_rejects_origin():
     with pytest.raises(SingularEvaluationError):
         sqg_velocity_kernel().evaluate(np.array([0.0, 0.0]))
+
+
+def _catalog_kernels(dim):
+    """Every catalog kernel of a dimension: whole, regularized, and as the
+    two parts of its Gaussian split; in 2D also the stream-function split."""
+    out = []
+    for name in ("perp_riesz", "biot_savart_2d", "biot_savart_3d"):
+        for expr in catalog(name):
+            if expr.dim == dim:
+                out += [expr, regularize(expr, 0.3), *split_gaussian(expr)]
+    return out + list(decompose_kin()) if dim == 2 else out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shared_sample_set_gives_the_bytes_of_plain_arrays(dim):
+    """One SampleSet serves every kernel and derivative up to order 3, its
+    factors formed by whichever comes first; each value has the bytes of
+    ``evaluate`` on the plain array."""
+    y = bound_samples(40, dim, seed=11)
+    shared = SampleSet(y)
+    for expr in _catalog_kernels(dim):
+        for alpha in itertools.product(range(4), repeat=dim):
+            if sum(alpha) <= 3:
+                deriv = expr.derive_multi(alpha)
+                got, want = deriv.evaluate(shared), deriv.evaluate(y)
+                assert got.shape == want.shape == (40,) + expr.shape
+                assert got.tobytes() == want.tobytes(), (expr.shape, alpha)
+                # and the bytes of the former evaluation, one np.full per term
+                for k, comp in enumerate(deriv.comps):
+                    ref = _reference_evaluate(comp.terms, y)
+                    assert got.reshape(40, -1)[:, k].tobytes() == ref.tobytes()
+
+
+def test_zero_sample_raises_on_every_route():
+    y = bound_samples(8, 2, seed=1)
+    y[3] = 0.0
+    expr = sqg_velocity_kernel()
+    for evaluate in (
+        lambda: SampleSet(y),
+        lambda: expr.evaluate(y),
+        lambda: expr.comps[0].evaluate(y),
+        lambda: verify_derivative_bound(expr, 32.0, 0, 2, y),
+    ):
+        with pytest.raises(SingularEvaluationError):
+            evaluate()
 
 
 def test_catalog_homogeneity():
