@@ -714,11 +714,16 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
                 f"{i},{n},{_fmt(coef)},{_fmt(ratio)},{_fmt(root)}"
             )
 
+    def radius(r: float) -> Optional[float]:
+        """A radius, or None (JSON null) where a degenerate expansion has
+        no finite one."""
+        return r if math.isfinite(r) else None
+
     summary = {
-        "aggregate_radius": est.aggregate,
-        "aggregate_radius_root": est.aggregate_root,
+        "aggregate_radius": radius(est.aggregate),
+        "aggregate_radius_root": radius(est.aggregate_root),
         "fitted_C": fitted_c,
-        "fitted_R": fitted_r,
+        "fitted_R": radius(fitted_r),
         "envelope_satisfied": satisfied,
         "growing_estimates": est.growing,
         "order": order,

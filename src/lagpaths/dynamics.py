@@ -21,7 +21,9 @@ gradient obeys dG/dt = (grad u) G, with grad u assembled from the model's
 strain sum plus the local vorticity rotation (2D) or vorticity cross product
 (3D).  Each unordered pair is formed once, in fixed work units whose
 partial sums are added in a fixed order, so results are bitwise independent
-of the worker-thread count.
+of the worker-thread count.  ``pair_weights`` builds the weight rows of the
+pair sums and ``read_velocity`` reads u and grad u off them, for
+``evaluate_rhs`` here and for the time jets of ``taylor`` alike.
 """
 
 from __future__ import annotations
@@ -215,6 +217,11 @@ class Model:
     density: Callable[[ParticleState], np.ndarray]
     w_rate: Optional[Callable[[ParticleState], np.ndarray]] = None  # Boussinesq dW/dt
 
+    @property
+    def transported(self) -> bool:
+        """grad theta0 rides along the path (SQG), so no strain kernel."""
+        return self.kernel == "perp_riesz"
+
 
 MODELS: dict[str, Model] = {
     "sqg": Model(
@@ -267,13 +274,11 @@ def normalize_model_tag(tag: str) -> str:
 PAIR_BLOCK = 2**15
 
 
-def _run_chunks(fn, n: int, threads: int = 1, budget: Optional[int] = None) -> list:
-    """fn over row blocks (i0, i1) of an n-row pairwise sum, in row order.
-
-    Each block has about budget (default ``PAIR_BLOCK``) / n rows, so the
-    boundaries depend on n and budget only, never on threads.
+def _run_chunks(fn, n: int, rows: int, threads: int = 1) -> list:
+    """fn over the blocks (i0, i1) of ``rows`` rows (the last may be shorter)
+    that cover rows 0..n, in row order; the boundaries depend on n and rows
+    only, never on threads.
     """
-    rows = max(1, min(n, (budget or PAIR_BLOCK) // max(n, 1)))
     chunks = [(s, min(s + rows, n)) for s in range(0, n, rows)]
     workers = min(threads, len(chunks))
     if workers <= 1:
@@ -304,9 +309,7 @@ def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
     Each unit is a chunk of its own, and the partial sums are added in unit
     order, so the result does not depend on the thread count.
     """
-    parts = _run_chunks(
-        lambda c: unit_fn(c[0]), len(units), threads, budget=len(units)
-    )
+    parts = _run_chunks(lambda c: unit_fn(c[0]), len(units), 1, threads)
     total = np.zeros(parts[0][0].shape[:-1] + (n,))
     for ((i0, i1), (j0, j1)), (rows, sources) in zip(units, parts):
         total[..., i0:i1] += rows
@@ -337,6 +340,54 @@ EPS3[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
 SYM3 = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
+def pair_weights(model: Model, state: ParticleState, need_grad: bool):
+    """rho and the weight rows W_c of the pair sums sum_j W_cj k(X_i - X_j),
+    in groups (..., rows, N): w rho (w G omega0 in 3D), then for a
+    transported gradient w grad theta on the path, (w b2, -w b1).  G may
+    carry leading jet axes; rho and the groups then are jets.
+    """
+    rho = model.density(state)
+    w = state.weights
+    if model.dim == 3:
+        return rho, [w * np.swapaxes(rho, -1, -2)]
+    rows = [w * rho[..., None, :]]
+    if need_grad and model.transported:
+        b1, b2 = _brackets_2d(state)
+        rows.append(w * np.stack([b2, -b1], axis=-2))
+    return rho, rows
+
+
+def read_velocity(model: Model, sums, need_grad: bool, vorticity=None):
+    """u and grad u (or None) from the (component, weight row, particle)
+    sums of the velocity kernel's components, then the strain's (2D e11,
+    e12; 3D the six y_a y_b), against the rows of ``pair_weights``.  Half
+    of ``vorticity`` (a value per particle in 2D, a vector in 3D) rotates
+    grad u where given.
+    """
+    grad_u = None
+    if model.dim == 3:
+        # u = sum_j (w omega)_j x K(Y_ij)
+        u = np.einsum("kca,acn->nk", EPS3, sums[:3])
+        if need_grad:
+            # s (z Y^T + Y z^T) with z = Y x (w omega)_j, plus the local
+            # rotation by half the Cauchy vorticity
+            g = np.einsum("kac,amcn->nkm", EPS3, sums[3:][SYM3])
+            rot = np.einsum("kim,ni->nkm", EPS3, vorticity)
+            grad_u = g + g.transpose(0, 2, 1) + 0.5 * rot
+    else:
+        u = sums[:2, 0].T
+        if need_grad and model.transported:
+            # the velocity kernel against w grad theta: an outer product
+            grad_u = np.moveaxis(sums[:2, 1:], 2, 0)
+        elif need_grad:
+            a, b = sums[2, 0], sums[3, 0]
+            grad_u = np.stack([a, b, b, -a], axis=-1).reshape(-1, 2, 2)
+            if vorticity is not None:
+                # local rotation, half the carried vorticity value
+                grad_u = grad_u + 0.5 * vorticity[:, None, None] * ROT90
+    return u, grad_u
+
+
 def evaluate_rhs(
     spec: ModelSpec, state: ParticleState, threads: int = 1, need_grad: bool = True
 ):
@@ -345,27 +396,17 @@ def evaluate_rhs(
     Returns (u, grad_u, w_dot); grad_u is the Eulerian gradient along the
     path, i.e. the matrix that left-multiplies G in dG/dt = (grad u) G.
 
-    Every pair sum is sum_j W_cj k(X_i - X_j) over the model's weight rows
-    W_c and kernel components k, formed once per unordered pair on the
-    ``_pair_units`` tiles (see README, "Pair sums").
+    Every pair sum is sum_j W_cj k(X_i - X_j) over the weight rows W_c of
+    ``pair_weights`` and kernel components k, formed once per unordered pair
+    on the ``_pair_units`` tiles (see README, "Pair sums").
     """
     model = MODELS[spec.model]
-    w = state.weights
     delta = spec.regularization_delta
     need_grad = need_grad and spec.evolve_gradients
-    transported = model.kernel == "perp_riesz"  # grad theta0 rides along (SQG)
-    dens = model.density(state)
-    if model.dim == 3:
-        if delta == 0.0:
-            raise ConfigError("euler3d requires a positive regularization delta")
-        W = w * dens.T  # w times the Cauchy vorticity, (3, N)
-    else:
-        # w rho, and for SQG's gradient w grad theta on the path, (w b2, -w b1)
-        W = [w * dens]
-        if need_grad and transported:
-            b1, b2 = _brackets_2d(state)
-            W += [w * b2, w * -b1]
-        W = np.stack(W)
+    if model.dim == 3 and delta == 0.0:
+        raise ConfigError("euler3d requires a positive regularization delta")
+    dens, groups = pair_weights(model, state, need_grad)
+    W = np.concatenate(groups)
 
     def components(y, r2):
         """The kernel components on a tile, each with its parity p,
@@ -382,12 +423,12 @@ def evaluate_rhs(
                     yield s * y[a] * y[b], 1.0
             return
         rp = TWO_PI * r2  # 2 pi |y|^2, times |y| for the perp-Riesz kernel
-        if transported:
+        if model.transported:
             rp = rp * np.sqrt(r2)
         radial = f / rp
         yield -y[1] * radial, -1.0
         yield y[0] * radial, -1.0
-        if need_grad and not transported:
+        if need_grad and not model.transported:
             # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
             # over r^4, regularized
             s = f / (TWO_PI * r2 * r2)
@@ -421,25 +462,7 @@ def evaluate_rhs(
 
     # (component, weight row, particle)
     total = _unit_order_sum(unit_sums, units, state.n, threads)
-    grad_u = None
-    if model.dim == 3:
-        # u = sum_j (w omega)_j x K(Y_ij)
-        u = np.einsum("kca,acn->nk", EPS3, total[:3])
-        if need_grad:
-            # s (z Y^T + Y z^T) with z = Y x (w omega)_j, plus the local
-            # rotation by half the Cauchy vorticity
-            g = np.einsum("kac,amcn->nkm", EPS3, total[3:][SYM3])
-            rot = np.einsum("kim,ni->nkm", EPS3, dens)
-            grad_u = g + g.transpose(0, 2, 1) + 0.5 * rot
-    else:
-        u = total[:2, 0].T
-        if need_grad and transported:
-            grad_u = np.moveaxis(total[:2, 1:], 2, 0)
-        elif need_grad:
-            a, b = total[2, 0], total[3, 0]
-            grad_u = np.stack([a, b, b, -a], axis=-1).reshape(-1, 2, 2)
-            # local vorticity rotation, half the carried vorticity value
-            grad_u = grad_u + 0.5 * dens[:, None, None] * ROT90
+    u, grad_u = read_velocity(model, total, need_grad, dens)
     w_dot = None if model.w_rate is None else model.w_rate(state)
 
     if not np.all(np.isfinite(u)) or (
@@ -598,7 +621,7 @@ def nearest_neighbor_pairs(
     # a row with more candidate slots than labels is cheaper scanned in full
     if width < n:
         rows = max(1, PAIR_BLOCK // width)
-        found = _run_chunks(near, n, threads, budget=rows * n)
+        found = _run_chunks(near, n, rows, threads)
         nbr = np.concatenate([f[0] for f in found])
         far = np.flatnonzero(np.concatenate([f[1][:, -1] for f in found]) > shell)
     if far.size:
@@ -610,9 +633,7 @@ def nearest_neighbor_pairs(
             return _k_smallest(d2, np.broadcast_to(np.arange(n), d2.shape), k)[0]
 
         rows = max(1, PAIR_BLOCK // n)
-        nbr[far] = np.concatenate(
-            _run_chunks(brute, far.size, threads, budget=rows * far.size)
-        )
+        nbr[far] = np.concatenate(_run_chunks(brute, far.size, rows, threads))
     return np.stack([np.repeat(np.arange(n), k), nbr.reshape(-1)], axis=-1)
 
 

@@ -8,10 +8,11 @@ it, to any order) is a finite sum of terms of the form
 with exact rational ``coeff`` and ``grate``.  The class of such sums is
 closed under partial differentiation, so arbitrary-order derivatives needed
 by the bound verification and by the Faa di Bruno oracle are exact term
-rewrites, never finite differences.  A kernel holds its coefficients as
-integers over one denominator, so a rewrite is integer arithmetic.  Pi is
-carried symbolically; floats only appear in ``KernelTerm.coeff_float`` and
-``evaluate``.
+rewrites, never finite differences.  The strain kernels are built that way
+too, as derivatives of the Biot-Savart kernels.  A kernel holds its
+coefficients as integers over one denominator, so a rewrite is integer
+arithmetic.  Pi is carried symbolically; floats only appear in
+``KernelTerm.coeff_float`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -285,10 +286,6 @@ class KernelExpr:
         comps = tuple(itertools.chain.from_iterable(rows))
         return KernelExpr(rows[0][0].dim, (len(rows), len(rows[0])), comps)
 
-    @staticmethod
-    def from_array(dim: int, arr: np.ndarray) -> "KernelExpr":
-        return KernelExpr(dim, arr.shape, tuple(arr.reshape(-1)))
-
     def component(self, *idx: int) -> ScalarKernel:
         flat = 0
         for i, n in zip(idx, self.shape):
@@ -375,16 +372,13 @@ def biot_savart_2d_kernel() -> KernelExpr:
 
 
 def strain_2d_kernel() -> KernelExpr:
-    """Symmetric traceless 2x2 strain kernel of the 2D Biot-Savart law.
+    """Strain kernel of the 2D Biot-Savart law: its Jacobian d_j K_i.
 
-    Entries [[2 y1 y2, y2^2 - y1^2], [y2^2 - y1^2, -2 y1 y2]] / (2 pi |y|^4);
-    identical to the full gradient of the Biot-Savart kernel away from 0.
+    Away from 0 the Jacobian is symmetric and traceless,
+    [[2 y1 y2, y2^2 - y1^2], [y2^2 - y1^2, -2 y1 y2]] / (2 pi |y|^4).
     """
-    half = Fraction(1, 2)
-    e11 = _sq(2, _t(2 * half, -1, (1, 1), 4))
-    e12 = _sq(2, _t(half, -1, (0, 2), 4), _t(-half, -1, (2, 0), 4))
-    e22 = _sq(2, _t(-2 * half, -1, (1, 1), 4))
-    return KernelExpr.matrix([[e11, e12], [e12, e22]])
+    K = biot_savart_2d_kernel().comps
+    return KernelExpr.matrix([[K[i].derive(j) for j in range(2)] for i in range(2)])
 
 
 def biot_savart_3d_kernel() -> KernelExpr:
@@ -406,38 +400,25 @@ def biot_savart_3d_kernel() -> KernelExpr:
 def strain_3d_kernel() -> KernelExpr:
     """Rank-3 strain kernel: component [i, j, m] multiplies vorticity omega_m.
 
-    S_ij(x) = (3 / 8 pi) * ((x cross omega)_i x_j + (x cross omega)_j x_i) / |x|^5,
-    expanded over the basis vectors e_m.
+    The symmetric gradient 1/2 (d_j A_i + d_i A_j) of A = e_m x K, with K
+    the 3D Biot-Savart kernel; it equals
+    (3 / 8 pi) ((x cross e_m)_i x_j + (x cross e_m)_j x_i) / |x|^5.
     """
-    c = Fraction(3, 8)
-    # (x cross e_m)_i as monomial coefficients: cross[m][i] = (sign, mono axis)
-    cross = {
-        (0, 1): (1, 2),  # (x X e_1)_2 = +x3
-        (0, 2): (-1, 1),  # (x X e_1)_3 = -x2
-        (1, 0): (-1, 2),
-        (1, 2): (1, 0),
-        (2, 0): (1, 1),
-        (2, 1): (-1, 0),
-    }
-    comps = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for m in range(3):
-                terms = []
-                if (m, i) in cross:
-                    sgn, axis = cross[(m, i)]
-                    mono = [0, 0, 0]
-                    mono[axis] += 1
-                    mono[j] += 1
-                    terms.append(_t(sgn * c, -1, mono, 5))
-                if (m, j) in cross:
-                    sgn, axis = cross[(m, j)]
-                    mono = [0, 0, 0]
-                    mono[axis] += 1
-                    mono[i] += 1
-                    terms.append(_t(sgn * c, -1, mono, 5))
-                comps[i, j, m] = ScalarKernel.build(3, terms)
-    return KernelExpr.from_array(3, comps)
+    K = biot_savart_3d_kernel().comps
+
+    def cross(m: int, i: int) -> ScalarKernel:
+        """(e_m x K)_i = eps_imb K_b: +K_b where m follows i cyclically."""
+        if i == m:
+            return ScalarKernel.zero(3)
+        b = 3 - i - m
+        return K[b] if (m - i) % 3 == 1 else -K[b]
+
+    def half_sym(i: int, j: int, m: int) -> ScalarKernel:
+        s = cross(m, i).derive(j) + cross(m, j).derive(i)
+        return _canonical(3, s.rows, 2 * s.den, s.grates)  # halved
+
+    index = itertools.product(range(3), repeat=3)
+    return KernelExpr(3, (3, 3, 3), tuple(half_sym(*ijm) for ijm in index))
 
 
 # velocity and gradient kernel builders of each catalog kernel, by name; the

@@ -8,7 +8,9 @@ Two independent routes produce the same trajectory jets:
   and particle count are capped.
 * ``time_jets_fast``: propagates jets order by order through the kernel with
   Cauchy-product arithmetic, one new coefficient per pair and order
-  (``jets.KernelStream``); reaches order ~25 and large particle counts.
+  (``jets.KernelStream``); reaches order ~25 and large particle counts.  It
+  takes its weight rows and its read-out of u and grad u from ``dynamics``,
+  as ``evaluate_rhs`` does.
 
 Their agreement is the package's main cross-validation of the combinatorial
 layer against plain power-series calculus.
@@ -31,15 +33,15 @@ import numpy as np
 from .combinatorics import mi_factorial, multi_indices_up_to, partitions_by_alpha
 from .dynamics import (
     MODELS,
-    ROT90,
     ModelSpec,
     ParticleState,
-    _brackets_2d,
     _pair_units,
     _unit_order_sum,
     evaluate_rhs,
     nearest_neighbor_pairs,
     operator_norms,
+    pair_weights,
+    read_velocity,
     sampled_pairs,
 )
 from .errors import ConfigError, NumericalFailureError
@@ -166,27 +168,26 @@ def time_jets_oracle(
 
 
 def _jet_kernels(spec: ModelSpec, with_gradients: bool):
-    """(need_g, transported, keep, stream layout, history arrays) of a
-    generic expansion; see ``history_arrays``."""
+    """(need_g, keep, stream layout, history arrays) of a generic
+    expansion; see ``history_arrays``."""
     model = MODELS[spec.model]
     need_g = with_gradients or not model.closed
     entry = catalog(model.kernel)
     comps = _regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += _regularized(spec, entry.gradient_kernel).comps
-    transported = model.kernel == "perp_riesz"  # grad theta0 rides along (SQG)
     # a pair sum that multiplies the kernel by a jet reads its history
-    keep = need_g and (transported or not model.closed)
+    keep = need_g and (model.transported or not model.closed)
     layout = KernelStream(comps)
     arrays = layout.histories + model.dim + (len(layout.unique) if keep else 0)
-    return need_g, transported, keep, layout, arrays
+    return need_g, keep, layout, arrays
 
 
 def history_arrays(spec: ModelSpec, with_gradients: bool = False) -> int:
     """Arrays a work unit that keeps its stream holds per pair and
     coefficient: the stream's histories, the displacement components and,
     where a pair sum multiplies the kernel by a jet, the kernel jets."""
-    return _jet_kernels(spec, with_gradients)[4]
+    return _jet_kernels(spec, with_gradients)[3]
 
 
 def time_jets_fast(
@@ -209,8 +210,7 @@ def time_jets_fast(
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
     ensure_taylor_model(spec)
     model = MODELS[spec.model]
-    need_g, transported, keep, layout, arrays = _jet_kernels(spec, with_gradients)
-    w = state.weights
+    need_g, keep, layout, arrays = _jet_kernels(spec, with_gradients)
     d = state.dim
     n_pts = state.n
     unique = len(layout.unique)
@@ -233,21 +233,14 @@ def time_jets_fast(
         gj = np.zeros((order + 1, n_pts, d, d))
         gj[0] = state.grads
         m_hist = np.zeros((order, n_pts, d, d))  # jets of M = grad u; G' = M G
-    rho = model.density(state) if model.closed else None  # constant, (N,)
 
     for n in range(order):
         xt = np.moveaxis(xj[: n + 1], 2, 1)  # (n + 1, d, N)
-        if need_g:
-            # G jets map to bracket and density jets, (n + 1, N)
-            g_state = state.replace(grads=gj[: n + 1])
-            if not model.closed:
-                rho = model.density(g_state)
-        # the weights of the pair sums as jets (one coefficient when
-        # constant), (length, m, N): w rho, then w grad theta on the path
-        wr = [(w * rho).reshape(-1, 1, n_pts)]
-        if need_g and transported:
-            b1, b2 = _brackets_2d(g_state)
-            wr.append(w * np.stack([b2, -b1], axis=1))
+        # G jets map to density and bracket jets, (n + 1, N); the weight
+        # rows as jets, a constant group as one coefficient: (length, m, N)
+        g_state = state.replace(grads=gj[: n + 1]) if need_g else state
+        rho, wr = pair_weights(model, g_state, need_g)
+        wr = [a.reshape((-1,) + a.shape[-2:]) for a in wr]
 
         def unit_sums(u):
             (i0, i1), (j0, j1) = units[u]
@@ -295,20 +288,12 @@ def time_jets_fast(
             return np.concatenate(rows, axis=1), sources
 
         total = _unit_order_sum(unit_sums, units, n_pts, threads)
-        s = layout.expand(total[:, 0])
-        xj[n + 1] = s[:d].T / (n + 1)
+        # coefficient n of the density, a constant being a one-coefficient jet
+        r = np.atleast_2d(rho)
+        u_n, m_n = read_velocity(model, total, need_g, r[n] if n < len(r) else None)
+        xj[n + 1] = u_n / (n + 1)
 
         if need_g:
-            if transported:
-                # outer product with the transported-gradient jets
-                m_n = np.moveaxis(layout.expand(total[:, 1:])[d:], 2, 0)
-            else:
-                m_n = np.moveaxis(s[d:].reshape(d, d, -1), 2, 0)
-                # local rotation by half the vorticity; a constant is a
-                # one-coefficient jet
-                r = np.atleast_2d(rho)
-                if n < len(r):
-                    m_n += 0.5 * r[n][:, None, None] * ROT90
             m_hist[n] = m_n
             # coefficient n of sum_k M_ak G_kc
             g_n = sum(
@@ -434,7 +419,9 @@ def fit_cauchy(jets: TrajectoryJets) -> tuple[float, float, bool]:
 
     The slope comes from least squares on the per-order coefficient maxima;
     C is then lifted so the envelope dominates every order, and `satisfied`
-    reports that domination (it fails only on degenerate or non-finite data).
+    reports that domination (it fails only on non-finite data).  A
+    degenerate expansion, every coefficient of order >= 1 zero (an
+    equilibrium), fits C = 0 and R = inf.
     """
     if jets.order < 4:
         raise ConfigError("envelope fitting needs order >= 4")
@@ -444,7 +431,7 @@ def fit_cauchy(jets: TrajectoryJets) -> tuple[float, float, bool]:
     data = per_order_max[1:]
     pos = data > 0
     if not np.any(pos):
-        raise ConfigError("all-zero jets cannot be fitted")
+        return 0.0, math.inf, bool(np.all(data == 0.0))
     slope, intercept = np.polyfit(ns[pos], np.log(data[pos]), 1)
     R = float(np.exp(-slope))
     C = float(np.max(data[pos] * R ** ns[pos]))

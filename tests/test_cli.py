@@ -434,6 +434,30 @@ def test_taylor_command_summary_fields(tmp_path):
         ]
 
 
+def test_taylor_on_an_equilibrium_reports_a_degenerate_expansion(tmp_path):
+    # the stratified state does not move: every coefficient of order >= 1
+    # is zero, so no radius is finite
+    path, _ = _write_config(
+        tmp_path,
+        model="ipm",
+        scenario="ipm_stratified",
+        grid={"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 8},
+        integrator={"kind": "taylor", "dt": 0.1, "t_end": 0.2, "taylor_order": 8},
+    )
+    assert main(["taylor", "--config", str(path)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=refuse)
+    for key in ("aggregate_radius", "aggregate_radius_root", "fitted_R"):
+        assert summary[key] is None, key
+    assert summary["fitted_C"] == 0.0
+    assert summary["envelope_satisfied"] is True
+    assert summary["final_t"] == pytest.approx(0.2)
+
+
 def test_radius_bound_command(tmp_path):
     cfg = {
         "model": "sqg",

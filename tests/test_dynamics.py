@@ -264,7 +264,8 @@ def _argmin_neighbors(labels):
         d2[rows - i0, rows] = np.inf
         return np.argmin(d2, axis=1)
 
-    nearest = np.concatenate(dynamics._run_chunks(chunk_fn, n))
+    rows = max(1, dynamics.PAIR_BLOCK // n)
+    nearest = np.concatenate(dynamics._run_chunks(chunk_fn, n, rows))
     return np.stack([np.arange(n), nearest], axis=-1)
 
 
@@ -308,9 +309,9 @@ def test_nearest_neighbor_pairs_match_brute_force(monkeypatch, cloud):
     searches = []
     run_chunks = dynamics._run_chunks
 
-    def spy(fn, rows, threads=1, budget=None):
-        searches.append(rows)
-        return run_chunks(fn, rows, threads, budget)
+    def spy(fn, n, rows, threads=1):
+        searches.append(n)
+        return run_chunks(fn, n, rows, threads)
 
     monkeypatch.setattr(dynamics, "_run_chunks", spy)
     for k in range(1, kmax + 1):

@@ -188,6 +188,51 @@ def test_catalog_rejects_unknown_tag():
         catalog("sqg")
 
 
+def _written_strain_2d() -> list[ScalarKernel]:
+    """The 2D strain entries as term lists, row-major:
+    [[2 y1 y2, y2^2 - y1^2], [y2^2 - y1^2, -2 y1 y2]] / (2 pi |y|^4)."""
+    def t(c, mono):
+        return KernelTerm(F(c), -1, mono, 4, F(0))
+
+    e11 = ScalarKernel.build(2, [t(1, (1, 1))])
+    e12 = ScalarKernel.build(2, [t(F(1, 2), (0, 2)), t(F(-1, 2), (2, 0))])
+    e22 = ScalarKernel.build(2, [t(-1, (1, 1))])
+    return [e11, e12, e12, e22]
+
+
+def _written_strain_3d() -> list[ScalarKernel]:
+    """Component [i, j, m], flat in (i, j, m) order, as the term list of
+    (3 / 8 pi) ((x cross e_m)_i x_j + (x cross e_m)_j x_i) / |x|^5."""
+    # (x cross e_m)_i = sign * x_axis, keyed by (m, i)
+    cross = {
+        (0, 1): (1, 2), (0, 2): (-1, 1), (1, 0): (-1, 2),
+        (1, 2): (1, 0), (2, 0): (1, 1), (2, 1): (-1, 0),
+    }
+    comps = []
+    for i, j, m in itertools.product(range(3), repeat=3):
+        terms = []
+        for a, b in ((i, j), (j, i)):
+            if (m, a) in cross:
+                sign, axis = cross[m, a]
+                mono = [0, 0, 0]
+                mono[axis] += 1
+                mono[b] += 1
+                terms.append(KernelTerm(sign * F(3, 8), -1, tuple(mono), 5, F(0)))
+        comps.append(ScalarKernel.build(3, terms))
+    return comps
+
+
+def test_strain_kernels_are_the_derived_gradients():
+    # the derived strain kernels are, term for term, the written ones
+    for kernel, written in (
+        (strain_2d_kernel(), _written_strain_2d()),
+        (strain_3d_kernel(), _written_strain_3d()),
+    ):
+        assert len(kernel.comps) == len(written)
+        for got, want in zip(kernel.comps, written):
+            assert got == want
+
+
 def test_strain_3d_matches_direct_formula():
     rng = np.random.default_rng(11)
     K = strain_3d_kernel()

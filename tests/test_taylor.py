@@ -16,6 +16,7 @@ from lagpaths.dynamics import (
     ScalarField,
     _brackets_2d,
     _run_chunks,
+    evaluate_rhs,
     init_grid,
     make_point_vortex_state,
     rk4_step,
@@ -371,7 +372,7 @@ def _row_block_jets(spec, state, order, with_gradients):
                 return s[:d], stream.expand(np.einsum("...j,j->...", v, w))[d:]
             return s[:d], s[d:].reshape(d, d, -1)
 
-        parts = _run_chunks(chunk_rhs, n_pts, 1, budget=rows * n_pts)
+        parts = _run_chunks(chunk_rhs, n_pts, rows)
         xj[n + 1] = np.concatenate([p[0] for p in parts], axis=1).T / (n + 1)
         if need_g:
             m_n = np.moveaxis(np.concatenate([p[1] for p in parts], axis=2), 2, 0)
@@ -442,6 +443,27 @@ def test_pair_units_match_row_block_loop(monkeypatch, case, regularized, tiles):
     assert np.array_equal(one.x_coeffs, two.x_coeffs)
     if gj is not None:
         assert np.array_equal(one.g_coeffs, two.g_coeffs)
+
+
+@pytest.mark.parametrize("regularized", [True, False], ids=["delta", "no_delta"])
+@pytest.mark.parametrize("case", [c for c, (_, g) in _UNIT_CASES.items() if g])
+def test_first_coefficients_match_the_rhs(monkeypatch, case, regularized):
+    # coefficient 1 of X is u and coefficient 1 of G is (grad u) G, as
+    # evaluate_rhs gives them, each within 1e-14 of its largest entry
+    scenario, _ = _UNIT_CASES[case]
+    state, spec = scenario()
+    if not regularized:
+        spec = ModelSpec(spec.model, 0.0)
+    # one step in (G != I) with uneven weights, on 15 units
+    state = rk4_step(spec, state, 0.05)
+    weights = state.weights * np.random.default_rng(3).uniform(0.5, 1.5, state.n)
+    state = state.replace(weights=weights)
+    _units_for(monkeypatch, state.n, 10, 15)
+    jets = time_jets_fast(spec, state, 1, with_gradients=True)
+    u, grad_u, _ = evaluate_rhs(spec, state)
+    pairs = ((jets.x_coeffs[1], u), (jets.g_coeffs[1], grad_u @ state.grads))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_each_pair_is_pushed_once(monkeypatch):
@@ -535,7 +557,7 @@ def test_readme_history_bytes():
     n, order = 256, 8
     spec = ModelSpec("ipm", 0.1)
     arrays = taylor.history_arrays(spec, True)
-    unique = len(taylor._jet_kernels(spec, True)[3].unique)
+    unique = len(taylor._jet_kernels(spec, True)[2].unique)
     # two tiles of 128: every pair, plus each diagonal unit's kernel jets on
     # the 128 * 129 / 2 cells outside its triangle
     cells = arrays * n * (n - 1) // 2 + unique * 2 * (128 * 129 // 2)

@@ -1,4 +1,5 @@
-"""What the benchmark reads from the package must exist in it.
+"""What the benchmark reads from the package must exist in it, and the
+package imports nothing it does not use.
 
 ``perfbench/tracer.py`` wraps each name in ``TARGETS`` for the traced
 benchmark run, ``perfbench/child.py env`` probes the environment before
@@ -8,6 +9,7 @@ renamed or deleted name would break those runs, so it fails here first.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -19,6 +21,46 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The module-level imports of a source file that it never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        # a quoted annotation reads the names it spells
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a]
+            notes = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                expr = ast.parse(note.value, mode="eval")
+                read |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+        if name not in read
+    ]
+
+
+def test_no_unused_module_imports():
+    sources = sorted((ROOT / "src" / "lagpaths").glob("*.py"))
+    assert sources
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert not unused, unused
 
 
 def _load_tracer():
