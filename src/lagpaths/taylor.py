@@ -288,7 +288,8 @@ def time_jets_fast(
             return np.concatenate(rows, axis=1), sources
 
         total = _unit_order_sum(unit_sums, units, n_pts, threads)
-        # coefficient n of the density, a constant being a one-coefficient jet
+        # the local rotation takes coefficient n of the density; a constant
+        # density is a one-coefficient jet
         r = np.atleast_2d(rho)
         u_n, m_n = read_velocity(model, total, need_g, r[n] if n < len(r) else None)
         xj[n + 1] = u_n / (n + 1)
