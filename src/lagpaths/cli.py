@@ -280,6 +280,9 @@ _REQUIRED = ("model", "scenario", "integrator", "output")
 # a larger grid is refused before init_grid allocates it; the pairwise sums
 # cost O(N^2) per evaluation, so no run near this size finishes anyway
 MAX_PARTICLES = 2**20
+# t_end / dt above this is refused: each step appends its snapshot rows, and a
+# run of that many steps would not end in any useful time
+MAX_STEPS = 2**20
 # chord_arc draws and gathers every sampled pair at once, some 100 bytes each
 MAX_PAIR_SAMPLES = 2**22
 # verify-kernels evaluates each derivative on all samples at once and keeps
@@ -338,7 +341,7 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        from . import dynamics, taylor
+        from . import dynamics
 
         _check_keys(raw, _SCHEMA)
         for key in _REQUIRED:
@@ -353,14 +356,16 @@ class RunConfig:
             raise ConfigError("integrator.dt must be positive")
         if "t_end" not in integ or integ["t_end"] <= 0:
             raise ConfigError("integrator.t_end must be positive")
+        if integ["t_end"] / integ["dt"] > MAX_STEPS:
+            raise ConfigError(f"integrator.t_end / dt must be at most {MAX_STEPS}")
         integ.setdefault("taylor_order", 12)
         integ.setdefault("safety", 0.5)
         if not 0 < integ["safety"] < 1:
             raise ConfigError("integrator.safety must lie in (0, 1)")
         # radius estimation and the envelope fit need order >= 4
-        if not 4 <= integ["taylor_order"] <= taylor.FAST_MAX_ORDER:
+        if not 4 <= integ["taylor_order"] <= dynamics.FAST_MAX_ORDER:
             raise ConfigError(
-                f"integrator.taylor_order must lie in 4..{taylor.FAST_MAX_ORDER}"
+                f"integrator.taylor_order must lie in 4..{dynamics.FAST_MAX_ORDER}"
             )
         diag = dict(raw.get("diagnostics", {}))
         diag.setdefault("pair_samples", 2048)
@@ -529,7 +534,7 @@ def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
 
 
 def _collect_diagnostics(
-    state, spec, grad_u, grad_u_hist, times, pair_samples, seed, neighbors
+    state, spec, grad_u, grad_u_hist, times, chords
 ) -> dynamics.DiagnosticsRecord:
     from . import dynamics
 
@@ -537,7 +542,7 @@ def _collect_diagnostics(
     grad_u_hist.append(sup)
     times.append(state.t)
     lam = dynamics.lambda_accumulate(grad_u_hist, times)
-    lo, hi = dynamics.chord_arc(state, pair_samples, seed=seed, neighbors=neighbors)
+    lo, hi = dynamics.chord_arc(state, sample=chords)
     det_dev = (
         dynamics.incompressibility_residual(state)
         if spec.evolve_gradients and state.grads is not None
@@ -567,12 +572,14 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     initial state, saves the first Taylor step from expanding again.  Writes
     state.csv and diagnostics.csv into ``config.output_dir``, which must exist.
     """
-    from . import dynamics, taylor
+    from . import dynamics
 
     state, spec = run
     integ = config.integrator
     kind = integ["kind"]
     if kind == "taylor":
+        from . import taylor
+
         taylor.ensure_taylor_model(spec)
     t_end, dt = float(integ["t_end"]), float(integ["dt"])
     every = config.diagnostics["output_every"]
@@ -585,14 +592,14 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
 
     # the diagnostics need grad u even where G is not evolved
     diag_spec = dataclasses.replace(spec, evolve_gradients=True)
-    # labels never move: one neighbor search serves every chord-arc sample
+    # labels never move: one neighbor search and one draw of pairs serve
+    # every chord-arc sample
     neighbors = dynamics.nearest_neighbor_pairs(state.labels, threads=threads)
+    chords = dynamics.chord_arc_sample(state.labels, neighbors, pair_samples, config.seed)
 
     def diagnose(s):
         u, grad_u, w_dot = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
-        rec = _collect_diagnostics(
-            s, spec, grad_u, grad_u_hist, times, pair_samples, config.seed, neighbors
-        )
+        rec = _collect_diagnostics(s, spec, grad_u, grad_u_hist, times, chords)
         diag_lines.append(diag_row(rec))
         append_state_rows(state_lines, s)
         # RK4's first stage at s; u does not depend on grad u being computed

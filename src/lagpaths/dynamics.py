@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -252,6 +253,10 @@ MODELS: dict[str, Model] = {
     ),
 }
 
+# the highest order of the time-Taylor jets (``taylor.time_jets_fast``); run
+# configs check their taylor_order against it without loading ``taylor``
+FAST_MAX_ORDER = 25
+
 # spellings besides the MODELS keys, once case, "-" and "_" are dropped
 MODEL_ALIASES = {
     "2deuler": "euler2d", "boussinesq": "boussinesq2d", "3deuler": "euler3d"
@@ -323,13 +328,17 @@ def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
 REG_SATURATED = 40.0
 
 
-def _reg_factor(r2: np.ndarray, delta: float) -> np.ndarray | float:
-    """The blob factor 1 - exp(-|y|^2 / delta^2) of a tile: 1.0 without
-    regularization, and 1.0 as well where every pair of the tile lies past
-    ``REG_SATURATED``, which gives the bytes the full factor would."""
-    if delta == 0.0 or r2.min() / (delta * delta) > REG_SATURATED:
-        return 1.0
-    return -np.expm1(-r2 / (delta * delta))
+def _reg_factor(r2: np.ndarray, delta: float, out: np.ndarray, least: float):
+    """Minus the blob factor, exp(-|y|^2 / delta^2) - 1, of a tile, written
+    into ``out``.  It is -1.0 without regularization, and -1.0 as well where
+    every pair of the tile lies past ``REG_SATURATED`` (``least`` is the
+    tile's smallest |y|^2), which gives the bytes the full factor would.  The
+    test multiplies by delta^2, so a delta whose square underflows saturates.
+    """
+    if delta == 0.0 or least > REG_SATURATED * delta * delta:
+        return -1.0
+    np.divide(r2, -(delta * delta), out=out)
+    return np.expm1(out, out=out)
 
 
 # the Levi-Civita symbol: (a x b)_k = EPS3[k, i, j] a_i b_j
@@ -406,58 +415,84 @@ def evaluate_rhs(
     if model.dim == 3 and delta == 0.0:
         raise ConfigError("euler3d requires a positive regularization delta")
     dens, groups = pair_weights(model, state, need_grad)
-    W = np.concatenate(groups)
+    # C order for the matrix products; the 3D rows come out of a transpose
+    W = np.ascontiguousarray(np.concatenate(groups))
+    d = model.dim
 
-    def components(y, r2):
-        """The kernel components on a tile, each with its parity p,
-        k(-y) = p k(y); every one vanishes at y = 0."""
-        f = _reg_factor(r2, delta)
-        if model.dim == 3:
-            r = np.sqrt(r2)
-            kr = f / (4.0 * math.pi * r2 * r)  # K = y f / (4 pi |y|^3)
+    def components(y, r2, f, a, b, k):
+        """Write each kernel component on a tile into k in turn, and yield k
+        with the factor c and the parity p by which it gives the component:
+        K = c k, K(-y) = p K(y); every one vanishes at y = 0.  ``f`` is
+        ``_reg_factor``'s minus the blob factor; r2, a and b are overwritten.
+        """
+        if d == 3:
+            # K = y f / (4 pi |y|^3), with the sign of f in the denominator
+            np.multiply(r2, -4.0 * math.pi, out=b)
+            np.multiply(b, np.sqrt(r2, out=k), out=b)
+            kr = np.divide(f, b, out=a)
             for c in y:
-                yield c * kr, -1.0
+                yield np.multiply(c, kr, out=k), 1.0, -1.0
             if need_grad:
-                s = 3.0 * f / (8.0 * math.pi * r2 * r2 * r)
-                for a, b in zip(*np.triu_indices(3)):
-                    yield s * y[a] * y[b], 1.0
+                # s y_a y_b with s = 3 f / (8 pi |y|^5) = 1.5 kr / |y|^2
+                s = np.divide(kr, r2, out=b)
+                for i in range(3):
+                    sy = np.multiply(s, y[i], out=r2)
+                    for j in range(i, 3):
+                        yield np.multiply(sy, y[j], out=k), 1.5, 1.0
             return
-        rp = TWO_PI * r2  # 2 pi |y|^2, times |y| for the perp-Riesz kernel
+        # minus 2 pi |y|^2, times |y| for the perp-Riesz kernel
+        np.multiply(r2, -TWO_PI, out=b)
         if model.transported:
-            rp = rp * np.sqrt(r2)
-        radial = f / rp
-        yield -y[1] * radial, -1.0
-        yield y[0] * radial, -1.0
-        if need_grad and not model.transported:
+            np.multiply(b, np.sqrt(r2, out=k), out=b)
+        strain = need_grad and not model.transported
+        if strain:
+            # s = f / (2 pi |y|^4)
+            s = np.divide(f, np.multiply(b, r2, out=k), out=r2)
+        radial = np.divide(f, b, out=a)
+        yield np.multiply(y[1], radial, out=k), -1.0, -1.0
+        yield np.multiply(y[0], radial, out=k), 1.0, -1.0
+        if strain:
             # traceless symmetric strain kernel [[e11, e12], [e12, -e11]]
             # over r^4, regularized
-            s = f / (TWO_PI * r2 * r2)
-            yield 2.0 * y[0] * y[1] * s, 1.0
-            yield (y[1] ** 2 - y[0] ** 2) * s, 1.0
+            np.multiply(y[0], y[1], out=k)
+            yield np.multiply(k, s, out=k), 2.0, 1.0
+            np.multiply(y[1], y[1], out=k)
+            np.subtract(k, np.multiply(y[0], y[0], out=b), out=k)
+            yield np.multiply(k, s, out=k), 1.0, 1.0
 
-    cols = list(state.positions.T)
+    cols = np.ascontiguousarray(state.positions.T)
     units = _pair_units(state.n)
+    side = units[0][0][1]  # the first tile is the largest
+    # one scratch block per worker thread and call; a shorter tile takes views
+    local = threading.local()
 
     def unit_sums(u):
         (i0, i1), (j0, j1) = units[u]
-        # source-major: y[k][j, i] = X[i0 + i, k] - X[j0 + j, k]
-        y = [x[None, i0:i1] - x[j0:j1, None] for x in cols]
-        r2 = y[0] * y[0]
+        if not hasattr(local, "block"):
+            local.block = np.empty((d + 4, side * side))
+        shape = (j1 - j0, i1 - i0)
+        *y, r2, a, b, k = (t[: shape[0] * shape[1]].reshape(shape) for t in local.block)
+        # source-major: y[c][j, i] = X[i0 + i, c] - X[j0 + j, c]
+        for c, x in zip(y, cols):
+            np.subtract(x[None, i0:i1], x[j0:j1, None], out=c)
+        np.multiply(y[0], y[0], out=r2)
         for c in y[1:]:
-            r2 += c * c
+            r2 += np.multiply(c, c, out=k)
         # a diagonal unit sums all of I x I into its rows; lifting |y|^2 of
         # the self pairs keeps their components at 0
         diagonal = i0 == j0
         if diagonal:
             np.fill_diagonal(r2, 1.0)
         # with the self pairs lifted, any zero is a collision
-        if not r2.all():
+        least = r2.min()
+        if least == 0.0:
             raise NumericalFailureError("coincident particles in pairwise sum")
+        f = _reg_factor(r2, delta, a, least)
         rows, sources = [], []
-        for k, parity in components(y, r2):
-            rows.append(np.einsum("cj,ji->ci", W[:, j0:j1], k))
+        for kc, c, parity in components(y, r2, f, a, b, k):
+            rows.append(c * (W[:, j0:j1] @ kc))
             if not diagonal:
-                sources.append(parity * np.einsum("ci,ji->cj", W[:, i0:i1], k))
+                sources.append(c * parity * (W[:, i0:i1] @ kc.T))
         return np.stack(rows), np.stack(sources) if sources else None
 
     # (component, weight row, particle)
@@ -652,24 +687,35 @@ def sampled_pairs(
     return np.concatenate(pairs, axis=0)
 
 
+def chord_arc_sample(
+    labels: np.ndarray, neighbors: np.ndarray, sample_pairs: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``chord_arc`` compares, ``neighbors`` and then the seeded
+    draws of ``sampled_pairs``, with their label distances |a_i - a_j|.
+    Labels never move, so one sample serves a whole run."""
+    pairs = sampled_pairs(neighbors, len(labels), sample_pairs, seed)
+    return pairs, np.linalg.norm(labels[pairs[:, 0]] - labels[pairs[:, 1]], axis=-1)
+
+
 def chord_arc(
     state: ParticleState,
     sample_pairs: int = 2048,
     seed: int = 0,
-    neighbors: Optional[np.ndarray] = None,
+    sample: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[float, float]:
     """Extremes of |a_i - a_j| / |X_i - X_j| over sampled and neighbor pairs.
 
-    ``neighbors`` is ``nearest_neighbor_pairs(state.labels)`` when the caller
-    already has it; labels do not move, so one search serves a whole run.
+    ``sample`` is ``chord_arc_sample`` of the state's labels when the caller
+    already has it; otherwise the label neighbours and ``sample_pairs``
+    seeded draws are formed here.
     """
     n = state.n
     if n < 2:
         raise ConfigError("chord-arc needs at least 2 particles")
-    if neighbors is None:
+    if sample is None:
         neighbors = nearest_neighbor_pairs(state.labels)
-    pairs = sampled_pairs(neighbors, n, sample_pairs, seed)
-    da = np.linalg.norm(state.labels[pairs[:, 0]] - state.labels[pairs[:, 1]], axis=-1)
+        sample = chord_arc_sample(state.labels, neighbors, sample_pairs, seed)
+    pairs, da = sample
     dx = np.linalg.norm(
         state.positions[pairs[:, 0]] - state.positions[pairs[:, 1]], axis=-1
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from .combinatorics import mi_factorial, multi_indices_up_to, partitions_by_alpha
 from .dynamics import (
+    FAST_MAX_ORDER,
     MODELS,
     ModelSpec,
     ParticleState,
@@ -50,7 +51,6 @@ from .kernels import KernelExpr, catalog, regularize
 
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
-FAST_MAX_ORDER = 25
 # time_jets_fast: the bytes of pair-jet history the units of one expansion
 # may keep across orders
 JET_CACHE_BYTES = 64 * 2**20

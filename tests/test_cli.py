@@ -148,6 +148,8 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         {"output": {}},
         {"output": {"directory": ""}},
         {"diagnostics": {"pair_samples": 10**12}},
+        {"integrator": {**_TAYLOR, "dt": 1e-300}},
+        {"integrator": {**_TAYLOR, "t_end": 1e308}},
     ],
     ids=[
         "flat_extent",
@@ -167,6 +169,8 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         "no_directory",
         "empty_directory",
         "huge_pair_samples",
+        "tiny_dt",
+        "huge_t_end",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, overrides):
@@ -560,6 +564,14 @@ def test_verify_kernels_loads_only_the_kernel_layer():
         assert f"lagpaths.{name}" not in loaded
 
 
+def test_rk4_simulate_loads_no_jet_layers(tmp_path):
+    path, _ = _write_config(tmp_path)
+    loaded = _modules_loaded_by(["simulate", "--config", str(path)])
+    assert "lagpaths.dynamics" in loaded
+    for name in ("taylor", "jets", "kernels"):
+        assert f"lagpaths.{name}" not in loaded
+
+
 def test_verify_kernels_report_is_byte_stable(tmp_path):
     """The default kernel suite at seed 5: every case and every digit."""
     report = tmp_path / "report.json"
@@ -704,6 +716,30 @@ def test_simulate_finds_label_neighbors_once(tmp_path, monkeypatch):
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(rows) == 1 + 4  # four diagnosed states share one search
     assert len(searches) == 1
+
+
+def test_simulate_draws_chord_arc_sample_once(tmp_path, monkeypatch):
+    draws = _count_calls(monkeypatch, dynamics, "sampled_pairs")
+    chords = _count_calls(monkeypatch, dynamics, "chord_arc")
+    path, _ = _write_config(
+        tmp_path, diagnostics={"pair_samples": 64, "output_every": 1}
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert len(chords) == 11  # the initial state and ten steps
+    assert len(draws) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_delta_runs_without_warnings(tmp_path):
+    path, _ = _write_config(
+        tmp_path,
+        model="sqg",
+        scenario="sqg_bump",
+        grid=_GRID,
+        regularization_delta=1e-200,
+        integrator={"kind": "rk4", "dt": 0.05, "t_end": 0.1},
+    )
+    assert main(["simulate", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "taylor", "radius-bound"])

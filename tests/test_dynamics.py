@@ -251,6 +251,20 @@ def test_chord_arc_flags_coincident_positions():
     assert math.isfinite(lo)
 
 
+@pytest.mark.parametrize("moved", [False, True], ids=["stepped", "collapsed"])
+def test_chord_arc_sample_matches_per_call_path(moved):
+    """A sample drawn once per run gives what each call drew for itself."""
+    state, spec = sqg_bump(n_per_axis=12)
+    state = rk4_step(spec, state, 0.1)
+    if moved:
+        positions = state.positions.copy()
+        positions[1] = positions[0]
+        state = state.replace(positions=positions)
+    neighbors = dynamics.nearest_neighbor_pairs(state.labels)
+    sample = dynamics.chord_arc_sample(state.labels, neighbors, 256, 7)
+    assert chord_arc(state, sample=sample) == chord_arc(state, 256, seed=7)
+
+
 def _argmin_neighbors(labels):
     """The brute-force nearest-neighbour scan the cell list replaced."""
     n = len(labels)
@@ -518,6 +532,54 @@ def test_threaded_rhs_bitwise_identical():
     u4, g4, _ = evaluate_rhs(spec, state, threads=4)
     assert np.array_equal(u1, u2) and np.array_equal(u1, u4)
     assert np.array_equal(g1, g2) and np.array_equal(g1, g4)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ipm_bubble(n_per_axis=32), lambda: euler3d_ring(n_per_axis=10)],
+    ids=["ipm", "euler3d"],
+)
+def test_full_tiles_threaded_bitwise_identical(make):
+    """At the full PAIR_BLOCK tiles the sums are matrix products: ipm's one
+    weight row against each kernel tile, euler3d's three rows.  Their bytes
+    must not depend on the thread count."""
+    state, spec = make()
+    state = rk4_step(spec, state, 0.05)
+    assert len(dynamics._pair_units(state.n)) > 3
+    for need_grad in (True, False):
+        u1, g1, _ = evaluate_rhs(spec, state, 1, need_grad)
+        for threads in (2, 3):
+            u, g, _ = evaluate_rhs(spec, state, threads, need_grad)
+            assert _bits(u) == _bits(u1), (need_grad, threads)
+            assert _bits(g) == _bits(g1), (need_grad, threads)
+
+
+def test_rhs_reuses_its_tile_buffers():
+    """The pair tiles reuse one scratch block per worker, so a warm call
+    faults in almost no fresh pages (about 11 k per call when each tile
+    allocated its temporaries)."""
+    resource = pytest.importorskip("resource")
+    state, spec = sqg_bump(n_per_axis=40)
+
+    def faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evaluate_rhs(spec, state, 1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(), faults()
+    assert sorted(faults() for _ in range(3))[1] < 1000
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", ["sqg", "euler2d", "euler3d"])
+def test_tiny_delta_saturates_without_warnings(model):
+    """delta^2 underflows to 0 at delta = 1e-200: every tile saturates, with
+    no division by it, and the 2D sums are those without regularization."""
+    state, spec = _BLOCK_CASES[model]()
+    u, g, _ = evaluate_rhs(ModelSpec(model, 1e-200), state)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
+    if model != "euler3d":
+        u0, g0, _ = evaluate_rhs(ModelSpec(model, 0.0), state)
+        assert _bits(u) == _bits(u0) and _bits(g) == _bits(g0)
 
 
 def test_model_table_matches_kernel_catalog():
