@@ -395,6 +395,9 @@ class RunConfig:
         inline = raw["scenario"] if isinstance(raw["scenario"], dict) else {}
         if not _is_number_pair(inline.get("center", [0, 0])):
             raise ConfigError("scenario.center must be an [x, y] number pair")
+        # the field divides by width^2, so 0 fails and -w would run as w
+        if inline.get("width", 1) <= 0:
+            raise ConfigError("scenario.width must be positive")
         delta = raw.get("regularization_delta")
         if delta is not None and delta < 0:
             raise ConfigError("regularization_delta must be >= 0")

@@ -306,6 +306,18 @@ def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return [(ti, tj) for a, ti in enumerate(edges) for tj in edges[a:]]
 
 
+def _displacements(x: np.ndarray, rows, sources, out: np.ndarray) -> np.ndarray:
+    """The source-major tile out[..., j, i] = x[..., i0 + i] - x[..., j0 + j]
+    of the rows (i0, i1) against the sources (j0, j1), for x of shape
+    (..., N): the rows copied, then the sources subtracted in place, which
+    gives the bytes of the broadcast subtraction in less time.  ``out``
+    should be C-contiguous; numpy copies a strided one for the subtraction.
+    """
+    (i0, i1), (j0, j1) = rows, sources
+    np.copyto(out, x[..., None, i0:i1])
+    return np.subtract(out, x[..., j0:j1, None], out=out)
+
+
 def _unit_order_sum(unit_fn, units, n: int, threads: int = 1) -> np.ndarray:
     """The (..., n) pair sum over ``units``: unit_fn(u) returns unit u's
     row partial sums, (..., I), and its source partial sums, (..., J) or
@@ -469,12 +481,14 @@ def evaluate_rhs(
     def unit_sums(u):
         (i0, i1), (j0, j1) = units[u]
         if not hasattr(local, "block"):
-            local.block = np.empty((d + 4, side * side))
+            local.block = np.empty((d + 4) * side * side)
+        # a C-contiguous (d + 4, J, I) view, also of a shorter tile
         shape = (j1 - j0, i1 - i0)
-        *y, r2, a, b, k = (t[: shape[0] * shape[1]].reshape(shape) for t in local.block)
-        # source-major: y[c][j, i] = X[i0 + i, c] - X[j0 + j, c]
-        for c, x in zip(y, cols):
-            np.subtract(x[None, i0:i1], x[j0:j1, None], out=c)
+        tiles = local.block[: (d + 4) * shape[0] * shape[1]]
+        tiles = tiles.reshape((d + 4,) + shape)
+        y, (r2, a, b, k) = tiles[:d], tiles[d:]
+        # source-major: y[c, j, i] = X[i0 + i, c] - X[j0 + j, c]
+        _displacements(cols, (i0, i1), (j0, j1), out=y)
         np.multiply(y[0], y[0], out=r2)
         for c in y[1:]:
             r2 += np.multiply(c, c, out=k)

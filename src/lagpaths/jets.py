@@ -174,12 +174,13 @@ class KernelStream:
         self.histories = 1 + len(self._factors) + len(self._stages)
         self.n = 0
 
-    def push(self, y: np.ndarray) -> np.ndarray:
+    def push(self, y: np.ndarray, out=None) -> np.ndarray:
         """Coefficient n of every unique component, n the coefficients pushed.
 
         y holds displacement coefficients 0..n (or more) on axis 0 and the
         components on axis 1; the result has the unique components on axis 0
-        and y's batch axes after them.
+        and y's batch axes after them.  It is written into ``out`` where
+        given (zeroed first, so the bytes are those of a fresh result).
         """
         n = self.n
         ys = [y[:, i] for i in range(y.shape[1])]
@@ -214,7 +215,10 @@ class KernelStream:
 
         for key, hist in self._stages.items():
             hist.append(mul_step(seq(key[:-1]), factor(key[-1]), n))
-        out = np.zeros((len(self.unique),) + nsq.shape)
+        if out is None:
+            out = np.zeros((len(self.unique),) + nsq.shape)
+        else:
+            out[...] = 0.0
         for u, terms in enumerate(self._terms):
             for negated, key in terms:
                 if negated:

@@ -36,6 +36,7 @@ from .dynamics import (
     MODELS,
     ModelSpec,
     ParticleState,
+    _displacements,
     _pair_units,
     _unit_order_sum,
     evaluate_rhs,
@@ -51,8 +52,8 @@ from .kernels import KernelExpr, catalog, regularize
 
 ORACLE_MAX_ORDER = 8
 ORACLE_MAX_PARTICLES = 64
-# time_jets_fast: the bytes of pair-jet history the units of one expansion
-# may keep across orders
+# time_jets_fast: the bytes of pair-jet history and kernel tiles the units of
+# one expansion may keep across orders
 JET_CACHE_BYTES = 64 * 2**20
 
 
@@ -204,24 +205,44 @@ def time_jets_fast(
 
     Each work unit's pair jets are streamed on its source-major tile, each
     unordered pair once (see README, "Jet routes"); only coefficient n of
-    each pair sum and of G' = (grad u) G is formed at order n.
+    each pair sum and of G' = (grad u) G is formed at order n.  A unit that
+    keeps its stream writes only displacement coefficient n and pushes into
+    its kept kernel tiles, (unique, order, J, I), which its row and source
+    sums read with matrix products.  Units past ``JET_CACHE_BYTES``, each
+    counted at the bytes it holds, rebuild their stream at every order.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
     ensure_taylor_model(spec)
     model = MODELS[spec.model]
-    need_g, keep, layout, arrays = _jet_kernels(spec, with_gradients)
+    need_g, keep, layout, _ = _jet_kernels(spec, with_gradients)
     d = state.dim
     n_pts = state.n
     unique = len(layout.unique)
     # K(X_j - X_i) = parity K(X_i - X_j): one push serves both particles
     parity = np.array([c.parity for c in layout.unique], dtype=float)
     units = _pair_units(n_pts)
-    # units whose histories fit the budget, each counted at its tile size,
-    # keep their stream across orders; the rest rebuild it from coefficient 0
-    # at every order
-    cells = np.cumsum([(i1 - i0) * (j1 - j0) for (i0, i1), (j0, j1) in units])
-    cached = cells * 8 * max(order, 1) * arrays <= JET_CACHE_BYTES
+    # the pairs j > i of each diagonal tile side, (jj, ii), and their flat
+    # cells jj * I + ii in the (I, I) tile
+    tri = {}
+    for (i0, i1), (j0, _) in units:
+        if i0 == j0 and i1 - i0 not in tri:
+            jj, ii = np.tril_indices(i1 - i0, -1)
+            tri[i1 - i0] = jj, ii, jj * (i1 - i0) + ii
+
+    def held(unit):
+        """Bytes a unit keeps across orders: its streamed pairs' histories
+        and displacements, and its kernel tiles of J x I cells (all orders
+        where a pair sum reads the kernel jets, else a diagonal unit's one)."""
+        (i0, i1), (j0, j1) = unit
+        cells = (i1 - i0) * (j1 - j0)
+        pairs = len(tri[i1 - i0][0]) if i0 == j0 else cells
+        coeffs = order if keep else int(i0 == j0)
+        return 8 * (order * (layout.histories + d) * pairs + coeffs * unique * cells)
+
+    # units within the budget keep their stream across orders; the rest
+    # rebuild it from coefficient 0 at every order
+    cached = np.cumsum([held(unit) for unit in units]) <= JET_CACHE_BYTES
     states: dict = {}
 
     xj = np.zeros((order + 1, n_pts, d))
@@ -235,7 +256,7 @@ def time_jets_fast(
         m_hist = np.zeros((order, n_pts, d, d))  # jets of M = grad u; G' = M G
 
     for n in range(order):
-        xt = np.moveaxis(xj[: n + 1], 2, 1)  # (n + 1, d, N)
+        xt = np.ascontiguousarray(np.moveaxis(xj[: n + 1], 2, 1))  # (n + 1, d, N)
         # G jets map to density and bracket jets, (n + 1, N); the weight
         # rows as jets, a constant group as one coefficient: (length, m, N)
         g_state = state.replace(grads=gj[: n + 1]) if need_g else state
@@ -246,7 +267,7 @@ def time_jets_fast(
             (i0, i1), (j0, j1) = units[u]
             diagonal = i0 == j0
             if diagonal:
-                jj, ii = np.tril_indices(i1 - i0, -1)
+                jj, ii, flat = tri[i1 - i0]
             if u in states:
                 stream, y, tiles = states[u]
             else:
@@ -256,36 +277,45 @@ def time_jets_fast(
                 y = np.empty((length, d) + ((len(ii),) if diagonal else shape))
                 # the kept kernel jets on the tile, or a diagonal unit's one
                 # current coefficient; zero off a diagonal unit's triangle
-                tiles = np.zeros((length if keep else int(diagonal), unique) + shape)
+                tiles = np.zeros((unique, length if keep else int(diagonal)) + shape)
                 if cached[u]:
                     states[u] = stream, y, tiles
             # source-major: y[q, :, j, i] = X_i^(q) - X_j^(q); coefficients
-            # m..n are new to the stream
+            # m..n are new to the stream (only n for a kept stream)
             m = stream.n
             if diagonal:
-                np.subtract(xt[m:, :, i0 + ii], xt[m:, :, i0 + jj], out=y[m : n + 1])
+                x = xt[m:, :, i0:i1]
+                np.subtract(x.take(ii, axis=2), x.take(jj, axis=2), out=y[m : n + 1])
             else:
-                np.subtract(
-                    xt[m:, :, None, i0:i1], xt[m:, :, j0:j1, None], out=y[m : n + 1]
-                )
+                _displacements(xt[m:], (i0, i1), (j0, j1), out=y[m : n + 1])
             while stream.n <= n:
                 q = stream.n
-                k = stream.push(y)  # (unique, pairs) or (unique, J, I)
-                if diagonal and (keep or q == n):
-                    tiles[q if keep else 0][:, jj, ii] = k
-                    k = tiles[q if keep else 0]
-                elif keep:
-                    tiles[q] = k
+                if diagonal:
+                    k = stream.push(y)  # (unique, pairs)
+                    if keep or q == n:
+                        cell = tiles[:, q if keep else 0]
+                        for c in range(unique):
+                            cell[c].reshape(-1)[flat] = k[c]
+                        k = cell
+                else:
+                    k = stream.push(y, out=tiles[:, q] if keep else None)
             # coefficient n of sum_j wr_j k(X_i - X_j) for each row i and of
             # sum_i wr_i k(X_j - X_i) for each source j, (unique, m, tile): a
-            # jet weight's Cauchy product with the kernel jets, a constant k's
+            # constant weight's product with k, a jet weight's Cauchy product
+            # with the kernel jets, summed over (q, j) in one matrix product
             rows, sources = [], []
             for a in wr:
-                a, kq = (a, k[None]) if len(a) == 1 else (a[n::-1], tiles[: n + 1])
-                rows.append(np.einsum("qcj,quji->uci", a[..., j0:j1], kq))
-                sources.append(np.einsum("qci,quji->ucj", a[..., i0:i1], kq))
-            sources = parity[:, None, None] * np.concatenate(sources, axis=1)
-            return np.concatenate(rows, axis=1), sources
+                if len(a) == 1:
+                    rows.append(a[0, :, j0:j1] @ k)
+                    sources.append(k @ a[0, :, i0:i1].T)
+                    continue
+                a = a[n::-1]
+                kq = tiles[:, : n + 1]
+                cj = np.moveaxis(a[..., j0:j1], 1, 0).reshape(a.shape[1], -1)
+                rows.append(cj @ kq.reshape(unique, -1, i1 - i0))
+                sources.append((kq @ np.swapaxes(a[..., i0:i1], 1, 2)).sum(axis=1))
+            sources = np.swapaxes(np.concatenate(sources, axis=2), 1, 2)
+            return np.concatenate(rows, axis=1), parity[:, None, None] * sources
 
         total = _unit_order_sum(unit_sums, units, n_pts, threads)
         # the local rotation takes coefficient n of the density; a constant

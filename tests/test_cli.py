@@ -150,6 +150,8 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         {"diagnostics": {"pair_samples": 10**12}},
         {"integrator": {**_TAYLOR, "dt": 1e-300}},
         {"integrator": {**_TAYLOR, "t_end": 1e308}},
+        {"scenario": {**_INLINE, "width": 0}},
+        {"scenario": {**_INLINE, "width": -0.5}},
     ],
     ids=[
         "flat_extent",
@@ -171,9 +173,11 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         "huge_pair_samples",
         "tiny_dt",
         "huge_t_end",
+        "zero_width",
+        "negative_width",
     ],
 )
-def test_malformed_config_exits_2(tmp_path, overrides):
+def test_malformed_config_exits_2(tmp_path, capsys, recwarn, overrides):
     cfg = {
         "model": "sqg",
         "scenario": _INLINE,
@@ -186,6 +190,10 @@ def test_malformed_config_exits_2(tmp_path, overrides):
     path.write_text(json.dumps(cfg))
     assert main(["taylor", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+    # refused at load: the error line alone, no warning from a half-built run
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def _count_calls(monkeypatch, module, name):

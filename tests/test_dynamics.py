@@ -553,6 +553,26 @@ def test_full_tiles_threaded_bitwise_identical(make):
             assert _bits(g) == _bits(g1), (need_grad, threads)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_displacement_tiles_are_the_broadcast_bytes(monkeypatch, d):
+    # 23 particles in tiles of 5 and a short last one of 3; a leading jet
+    # axis as in the Taylor route
+    monkeypatch.setattr(dynamics, "PAIR_BLOCK", 25)
+    x = np.random.default_rng(d).normal(size=(4, d, 23))
+    units = dynamics._pair_units(23)
+    assert {i1 - i0 for (i0, i1), _ in units} == {5, 3}
+    for rows, sources in units:
+        (i0, i1), (j0, j1) = rows, sources
+        want = np.subtract(x[..., None, i0:i1], x[..., j0:j1, None])
+        out = np.full(want.shape, np.nan)
+        got = dynamics._displacements(x, rows, sources, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+        for c in range(d):  # one coefficient, one component
+            tile = np.empty(want.shape[2:])
+            dynamics._displacements(x[0, c], rows, sources, out=tile)
+            assert tile.tobytes() == want[0, c].tobytes()
+
+
 def test_rhs_reuses_its_tile_buffers():
     """The pair tiles reuse one scratch block per worker, so a warm call
     faults in almost no fresh pages (about 11 k per call when each tile

@@ -331,6 +331,25 @@ def test_kernel_stream_bitwise_equals_full_jet_evaluation(batch):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("batch", [(5, 7), (21,)], ids=["tile", "triangle"])
+def test_kernel_stream_push_into_out_is_bitwise_a_plain_push(batch):
+    # the jet route pushes a tile unit into its kept kernel tiles
+    # (unique, order, J, I) and a diagonal unit's packed pairs into a buffer
+    rng = np.random.default_rng(5)
+    comps = regularize(strain_2d_kernel(), 0.3).comps + sqg_velocity_kernel().comps
+    order = 6
+    y = rng.normal(size=(order, 2) + batch)
+    y[0, 0] += 2.0
+    plain, into = KernelStream(comps), KernelStream(comps)
+    # NaN where out is not zeroed first
+    tiles = np.full((len(into.unique), order) + batch, np.nan)
+    for q in range(order):
+        want = plain.push(y)
+        got = into.push(y, out=tiles[:, q])
+        assert np.shares_memory(got, tiles)
+        assert got.tobytes() == want.tobytes() == tiles[:, q].tobytes()
+
+
 def test_kernel_stream_evaluates_equal_components_once():
     # the strain matrix is [[e11, e12], [e12, -e11]]
     strain = KernelStream(regularize(strain_2d_kernel(), 0.5).comps)

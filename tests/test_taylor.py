@@ -314,6 +314,53 @@ def test_cached_and_rebuilt_pair_blocks_bitwise_equal(monkeypatch, scenario, ord
     assert cached.g_coeffs.tobytes() == rebuilt.g_coeffs.tobytes()
 
 
+@pytest.mark.parametrize(
+    "model, with_g", [("sqg", False), ("ipm", True)], ids=["sqg_x", "ipm"]
+)
+def test_jet_cache_counts_the_bytes_a_unit_holds(monkeypatch, model, with_g):
+    # 30 particles: tiles of 8 and a short last one of 6, 10 units
+    state, spec = seeded_sqg_cloud(n_particles=30)
+    if model == "ipm":
+        state, spec = ipm_bubble(n_per_axis=6)
+        state = state.subset(np.arange(state.n) < 30)
+    _units_for(monkeypatch, state.n, 8, 10)
+    order = 4
+    _, keep, layout, _ = taylor._jet_kernels(spec, with_g)
+    assert keep == with_g
+    unique = len(layout.unique)
+    # a unit holds `order` coefficients of the stream's histories and the
+    # displacements per streamed pair, I (I - 1) / 2 on a diagonal, and its
+    # kernel tiles of I x J cells: every coefficient where a pair sum reads
+    # the kernel jets, otherwise a diagonal unit's one
+    total = 0
+    for (i0, i1), (j0, j1) in dynamics._pair_units(state.n):
+        cells = (i1 - i0) * (j1 - j0)
+        diagonal = i0 == j0
+        pairs = (i1 - i0) * (i1 - i0 - 1) // 2 if diagonal else cells
+        tile_coeffs = order if keep else int(diagonal)
+        total += 8 * (order * (layout.histories + state.dim) * pairs
+                      + tile_coeffs * unique * cells)
+    streams = []
+    push = KernelStream.push
+
+    def spy(stream, y, out=None):
+        streams.append(stream)
+        return push(stream, y, out=out)
+
+    monkeypatch.setattr(KernelStream, "push", spy)
+    for budget, kept in ((total, 10), (total - 1, 9)):
+        monkeypatch.setattr(taylor, "JET_CACHE_BYTES", budget)
+        streams.clear()
+        time_jets_fast(spec, state, order, with_gradients=with_g)
+        pushes = {}
+        for stream in streams:
+            pushes[id(stream)] = pushes.get(id(stream), 0) + 1
+        # a kept stream takes `order` pushes; the last unit, past the
+        # budget, builds a fresh stream of n + 1 pushes at every order n
+        rebuilt = list(range(1, order + 1)) if kept < 10 else []
+        assert sorted(pushes.values()) == sorted([order] * kept + rebuilt)
+
+
 def _row_block_jets(spec, state, order, with_gradients):
     """The generic route before the pair-once units, as the reference: row
     blocks of every row i against all N sources, so each pair is streamed
@@ -473,11 +520,11 @@ def test_each_pair_is_pushed_once(monkeypatch):
     pushed = {}
     push = KernelStream.push
 
-    def spy(stream, y):
+    def spy(stream, y, out=None):
         # coefficient 0 of every streamed pair: a diagonal unit's (d, pairs)
         # triangle or a (d, J, I) tile
         pushed.setdefault(stream.n, []).append(y[0].reshape(y.shape[1], -1).T.copy())
-        return push(stream, y)
+        return push(stream, y, out=out)
 
     monkeypatch.setattr(KernelStream, "push", spy)
     order = 5
