@@ -349,7 +349,7 @@ class RunConfig:
                 raise ConfigError(f"missing required configuration key {key!r}")
         model = dynamics.normalize_model_tag(raw["model"])
         integ = dict(raw["integrator"])
-        kind = integ.get("kind", "rk4")
+        kind = integ.setdefault("kind", "rk4")
         if kind not in ("rk4", "taylor"):
             raise ConfigError("integrator.kind must be 'rk4' or 'taylor'")
         if "dt" not in integ or integ["dt"] <= 0:

@@ -169,26 +169,76 @@ def time_jets_oracle(
 
 
 def _jet_kernels(spec: ModelSpec, with_gradients: bool):
-    """(need_g, keep, stream layout, history arrays) of a generic
-    expansion; see ``history_arrays``."""
+    """(need_g, keep, stream layout) of a generic expansion; keep says that
+    a pair sum multiplies the kernel by a jet, so reads its history."""
     model = MODELS[spec.model]
     need_g = with_gradients or not model.closed
     entry = catalog(model.kernel)
     comps = _regularized(spec, entry.velocity_kernel).comps
     if need_g:
         comps += _regularized(spec, entry.gradient_kernel).comps
-    # a pair sum that multiplies the kernel by a jet reads its history
     keep = need_g and (model.transported or not model.closed)
-    layout = KernelStream(comps)
-    arrays = layout.histories + model.dim + (len(layout.unique) if keep else 0)
-    return need_g, keep, layout, arrays
+    return need_g, keep, KernelStream(comps)
 
 
-def history_arrays(spec: ModelSpec, with_gradients: bool = False) -> int:
-    """Arrays a work unit that keeps its stream holds per pair and
-    coefficient: the stream's histories, the displacement components and,
-    where a pair sum multiplies the kernel by a jet, the kernel jets."""
-    return _jet_kernels(spec, with_gradients)[3]
+class _JetUnit:
+    """One work unit of ``time_jets_fast``: its rows (i0, i1) against its
+    sources (j0, j1), each unordered pair once (on the diagonal j > i).
+
+    It owns what it streams through, ``arrays``: a ``KernelStream``, the
+    displacement jets y and the kernel tiles, and ``nbytes`` counts them.  A
+    ``kept`` unit holds them across orders; any other builds them per order.
+    """
+
+    def __init__(self, unit, layout, dim, order, keep):
+        (i0, i1), (j0, j1) = self.rows, self.sources = unit
+        self.layout, self.dim, self.order, self.keep = layout, dim, order, keep
+        self.diagonal = i0 == j0
+        self.shape = self.batch = (j1 - j0, i1 - i0)
+        if self.diagonal:
+            # the pairs j > i, (jj, ii), and their flat cells jj * I + ii
+            jj, ii = np.tril_indices(i1 - i0, -1)
+            self.tri, self.batch = (jj, ii, jj * (i1 - i0) + ii), ii.shape
+        self.kept, self.arrays = False, None
+        self.nbytes = 8 * sum(map(math.prod, self._shapes(order)))
+
+    def _shapes(self, length: int):
+        """The shapes, over ``length`` coefficients, of the stream's histories,
+        of y and of the kernel tiles: every coefficient where a pair sum reads
+        the kernel jets, else a diagonal unit's current one and no other."""
+        coeffs = length if self.keep else int(self.diagonal)
+        return ((length * self.layout.histories,) + self.batch,
+                (length, self.dim) + self.batch,
+                (len(self.layout.unique), coeffs) + self.shape)
+
+    def advance(self, xt: np.ndarray, n: int):
+        """Write displacement coefficient n, y[q, :, j, i] = X_i^(q) - X_j^(q)
+        from xt, (n + 1, d, N), and push it (a fresh stream takes 0..n).
+        Returns coefficient n's kernel tile, (unique, J, I), and the arrays."""
+        arrays = self.arrays
+        if arrays is None:
+            _, y, tiles = self._shapes(self.order if self.kept else n + 1)
+            arrays = KernelStream(self.layout.unique), np.empty(y), np.zeros(tiles)
+            if self.kept:
+                self.arrays = arrays
+        stream, y, tiles = arrays
+        m = stream.n
+        if self.diagonal:
+            jj, ii, flat = self.tri
+            x = xt[m:, :, self.rows[0] : self.rows[1]]
+            np.subtract(x.take(ii, axis=2), x.take(jj, axis=2), out=y[m : n + 1])
+        else:
+            _displacements(xt[m:], self.rows, self.sources, out=y[m : n + 1])
+        for q in range(m, n + 1):
+            if not self.diagonal:
+                k = stream.push(y, out=tiles[:, q] if self.keep else None)
+            else:
+                k = stream.push(y)  # (unique, pairs)
+                if self.keep or q == n:
+                    cell = tiles[:, q if self.keep else 0]
+                    cell.reshape(len(k), -1)[:, flat] = k
+                    k = cell
+        return k, arrays
 
 
 def time_jets_fast(
@@ -203,47 +253,28 @@ def time_jets_fast(
     Gradients are carried when requested, and always for models whose
     density moves with G (ipm: the bracket -{theta0, X_2}).
 
-    Each work unit's pair jets are streamed on its source-major tile, each
-    unordered pair once (see README, "Jet routes"); only coefficient n of
-    each pair sum and of G' = (grad u) G is formed at order n.  A unit that
-    keeps its stream writes only displacement coefficient n and pushes into
-    its kept kernel tiles, (unique, order, J, I), which its row and source
-    sums read with matrix products.  Units past ``JET_CACHE_BYTES``, each
-    counted at the bytes it holds, rebuild their stream at every order.
+    Each work unit (``_JetUnit``) streams its pair jets on its source-major
+    tile, each unordered pair once (see README, "Jet routes"); only
+    coefficient n of each pair sum and of G' = (grad u) G is formed at order
+    n, from the unit's kernel tiles with matrix products.  Units keep their
+    streams while their summed ``nbytes`` stay within ``JET_CACHE_BYTES``;
+    the rest rebuild theirs at every order.
     """
     if order > FAST_MAX_ORDER:
         raise ConfigError(f"fast jets capped at order {FAST_MAX_ORDER}")
     ensure_taylor_model(spec)
     model = MODELS[spec.model]
-    need_g, keep, layout, _ = _jet_kernels(spec, with_gradients)
+    need_g, keep, layout = _jet_kernels(spec, with_gradients)
     d = state.dim
     n_pts = state.n
-    unique = len(layout.unique)
     # K(X_j - X_i) = parity K(X_i - X_j): one push serves both particles
     parity = np.array([c.parity for c in layout.unique], dtype=float)
-    units = _pair_units(n_pts)
-    # the pairs j > i of each diagonal tile side, (jj, ii), and their flat
-    # cells jj * I + ii in the (I, I) tile
-    tri = {}
-    for (i0, i1), (j0, _) in units:
-        if i0 == j0 and i1 - i0 not in tri:
-            jj, ii = np.tril_indices(i1 - i0, -1)
-            tri[i1 - i0] = jj, ii, jj * (i1 - i0) + ii
-
-    def held(unit):
-        """Bytes a unit keeps across orders: its streamed pairs' histories
-        and displacements, and its kernel tiles of J x I cells (all orders
-        where a pair sum reads the kernel jets, else a diagonal unit's one)."""
-        (i0, i1), (j0, j1) = unit
-        cells = (i1 - i0) * (j1 - j0)
-        pairs = len(tri[i1 - i0][0]) if i0 == j0 else cells
-        coeffs = order if keep else int(i0 == j0)
-        return 8 * (order * (layout.histories + d) * pairs + coeffs * unique * cells)
-
-    # units within the budget keep their stream across orders; the rest
-    # rebuild it from coefficient 0 at every order
-    cached = np.cumsum([held(unit) for unit in units]) <= JET_CACHE_BYTES
-    states: dict = {}
+    pairs = _pair_units(n_pts)
+    units = [_JetUnit(unit, layout, d, order, keep) for unit in pairs]
+    # units within the budget keep their arrays across orders; the rest
+    # rebuild them from coefficient 0 at every order
+    for unit, held in zip(units, np.cumsum([unit.nbytes for unit in units])):
+        unit.kept = bool(held <= JET_CACHE_BYTES)
 
     xj = np.zeros((order + 1, n_pts, d))
     xj[0] = state.positions
@@ -264,41 +295,10 @@ def time_jets_fast(
         wr = [a.reshape((-1,) + a.shape[-2:]) for a in wr]
 
         def unit_sums(u):
-            (i0, i1), (j0, j1) = units[u]
-            diagonal = i0 == j0
-            if diagonal:
-                jj, ii, flat = tri[i1 - i0]
-            if u in states:
-                stream, y, tiles = states[u]
-            else:
-                length = order if cached[u] else n + 1
-                stream = KernelStream(layout.unique)
-                shape = (j1 - j0, i1 - i0)
-                y = np.empty((length, d) + ((len(ii),) if diagonal else shape))
-                # the kept kernel jets on the tile, or a diagonal unit's one
-                # current coefficient; zero off a diagonal unit's triangle
-                tiles = np.zeros((unique, length if keep else int(diagonal)) + shape)
-                if cached[u]:
-                    states[u] = stream, y, tiles
-            # source-major: y[q, :, j, i] = X_i^(q) - X_j^(q); coefficients
-            # m..n are new to the stream (only n for a kept stream)
-            m = stream.n
-            if diagonal:
-                x = xt[m:, :, i0:i1]
-                np.subtract(x.take(ii, axis=2), x.take(jj, axis=2), out=y[m : n + 1])
-            else:
-                _displacements(xt[m:], (i0, i1), (j0, j1), out=y[m : n + 1])
-            while stream.n <= n:
-                q = stream.n
-                if diagonal:
-                    k = stream.push(y)  # (unique, pairs)
-                    if keep or q == n:
-                        cell = tiles[:, q if keep else 0]
-                        for c in range(unique):
-                            cell[c].reshape(-1)[flat] = k[c]
-                        k = cell
-                else:
-                    k = stream.push(y, out=tiles[:, q] if keep else None)
+            (i0, i1), (j0, j1) = pairs[u]
+            # a rebuilding unit's fresh arrays stay bound through its sums:
+            # dropped first, they faulted in more pages (README, Jet routes)
+            k, (stream, y, tiles) = units[u].advance(xt, n)
             # coefficient n of sum_j wr_j k(X_i - X_j) for each row i and of
             # sum_i wr_i k(X_j - X_i) for each source j, (unique, m, tile): a
             # constant weight's product with k, a jet weight's Cauchy product
@@ -312,12 +312,12 @@ def time_jets_fast(
                 a = a[n::-1]
                 kq = tiles[:, : n + 1]
                 cj = np.moveaxis(a[..., j0:j1], 1, 0).reshape(a.shape[1], -1)
-                rows.append(cj @ kq.reshape(unique, -1, i1 - i0))
+                rows.append(cj @ kq.reshape(len(kq), -1, i1 - i0))
                 sources.append((kq @ np.swapaxes(a[..., i0:i1], 1, 2)).sum(axis=1))
             sources = np.swapaxes(np.concatenate(sources, axis=2), 1, 2)
             return np.concatenate(rows, axis=1), parity[:, None, None] * sources
 
-        total = _unit_order_sum(unit_sums, units, n_pts, threads)
+        total = _unit_order_sum(unit_sums, pairs, n_pts, threads)
         # the local rotation takes coefficient n of the density; a constant
         # density is a one-coefficient jet
         r = np.atleast_2d(rho)
@@ -450,9 +450,9 @@ def fit_cauchy(jets: TrajectoryJets) -> tuple[float, float, bool]:
 
     The slope comes from least squares on the per-order coefficient maxima;
     C is then lifted so the envelope dominates every order, and `satisfied`
-    reports that domination (it fails only on non-finite data).  A
-    degenerate expansion, every coefficient of order >= 1 zero (an
-    equilibrium), fits C = 0 and R = inf.
+    reports whether it does (not on non-finite data).  With fewer than two
+    nonzero orders n >= 1 there is no slope: R = inf and C = 0, an envelope
+    that is 0 at every n >= 1, satisfied only if all of them are 0.
     """
     if jets.order < 4:
         raise ConfigError("envelope fitting needs order >= 4")
@@ -461,7 +461,7 @@ def fit_cauchy(jets: TrajectoryJets) -> tuple[float, float, bool]:
     ns = np.arange(1, jets.order + 1)
     data = per_order_max[1:]
     pos = data > 0
-    if not np.any(pos):
+    if np.count_nonzero(pos) < 2:
         return 0.0, math.inf, bool(np.all(data == 0.0))
     slope, intercept = np.polyfit(ns[pos], np.log(data[pos]), 1)
     R = float(np.exp(-slope))

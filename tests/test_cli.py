@@ -196,6 +196,29 @@ def test_malformed_config_exits_2(tmp_path, capsys, recwarn, overrides):
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
+def test_config_without_integrator_kind_runs_rk4(tmp_path):
+    # integrator.kind defaults to rk4: the same state.csv as naming it
+    states = []
+    for kind in ({}, {"kind": "rk4"}):
+        out = tmp_path / f"out{len(states)}"
+        path, _ = _write_config(
+            tmp_path,
+            integrator={"dt": 0.02, "t_end": 0.1, **kind},
+            output={"directory": str(out)},
+        )
+        assert main(["simulate", "--config", str(path)]) == 0
+        states.append((out / "state.csv").read_bytes())
+    assert states[0] == states[1]
+    path, _ = _write_config(
+        tmp_path,
+        model="sqg",
+        scenario=_INLINE,
+        grid=_GRID,
+        integrator={"dt": 0.02, "t_end": 0.02, "taylor_order": 6},
+    )
+    assert main(["taylor", "--config", str(path)]) == 0
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
@@ -468,6 +491,25 @@ def test_taylor_on_an_equilibrium_reports_a_degenerate_expansion(tmp_path):
     assert summary["fitted_C"] == 0.0
     assert summary["envelope_satisfied"] is True
     assert summary["final_t"] == pytest.approx(0.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_taylor_on_a_translation_fits_no_envelope_slope(tmp_path):
+    # a vortex pair translates: only coefficient 1 is nonzero, one point,
+    # through which the envelope fit draws no line
+    path, _ = _write_config(
+        tmp_path,
+        scenario="vortex_pair",
+        integrator={"kind": "taylor", "dt": 0.05, "t_end": 0.05, "taylor_order": 8},
+    )
+    assert main(["taylor", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for key in ("aggregate_radius", "aggregate_radius_root", "fitted_R"):
+        assert summary[key] is None, key
+    # C = 0 and R = inf give an envelope of 0 at every order >= 1, which
+    # coefficient 1 exceeds
+    assert summary["fitted_C"] == 0.0
+    assert summary["envelope_satisfied"] is False
 
 
 def test_radius_bound_command(tmp_path):

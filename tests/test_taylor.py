@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -300,32 +301,63 @@ def test_ipm_gradient_jets_threaded_bitwise_identical(monkeypatch):
         assert j1.g_coeffs.tobytes() == jt.g_coeffs.tobytes()
 
 
+def _unit_sizes(spec, with_g, n, order):
+    """``nbytes`` of the work units of an n-particle expansion, in order."""
+    _, keep, layout = taylor._jet_kernels(spec, with_g)
+    dim = MODELS[spec.model].dim
+    return [
+        taylor._JetUnit(unit, layout, dim, order, keep).nbytes
+        for unit in dynamics._pair_units(n)
+    ]
+
+
+_SQG16 = partial(sqg_bump, n_per_axis=16)
+_IPM12 = partial(ipm_bubble, n_per_axis=12)
+
+
 @pytest.mark.parametrize(
-    "scenario, order",
-    [(lambda: sqg_bump(n_per_axis=16), 8), (lambda: ipm_bubble(n_per_axis=12), 6)],
-    ids=["sqg_bump", "ipm_bubble"],
+    "scenario, order, tiles",
+    [(_SQG16, 8, None), (_IPM12, 6, None), (_SQG16, 8, (64, 10)), (_IPM12, 6, (48, 6))],
+    ids=["sqg_bump", "ipm_bubble", "sqg_bump_mixed", "ipm_bubble_mixed"],
 )
-def test_cached_and_rebuilt_pair_blocks_bitwise_equal(monkeypatch, scenario, order):
+def test_cached_and_rebuilt_pair_blocks_bitwise_equal(
+    monkeypatch, scenario, order, tiles
+):
     state, spec = scenario()
+    if tiles:
+        _units_for(monkeypatch, state.n, *tiles)  # more units than threads
     cached = time_jets_fast(spec, state, order, with_gradients=True, threads=2)
-    monkeypatch.setattr(taylor, "JET_CACHE_BYTES", 0)  # every block rebuilds
-    rebuilt = time_jets_fast(spec, state, order, with_gradients=True, threads=2)
-    assert cached.x_coeffs.tobytes() == rebuilt.x_coeffs.tobytes()
-    assert cached.g_coeffs.tobytes() == rebuilt.g_coeffs.tobytes()
+    budget = 0  # every block rebuilds
+    if tiles:
+        # the first half of the units keep their arrays, the rest rebuild
+        sizes = _unit_sizes(spec, True, state.n, order)
+        budget = sum(sizes[: len(sizes) // 2])
+    monkeypatch.setattr(taylor, "JET_CACHE_BYTES", budget)
+    for threads in (1, 2):
+        rebuilt = time_jets_fast(
+            spec, state, order, with_gradients=True, threads=threads
+        )
+        assert cached.x_coeffs.tobytes() == rebuilt.x_coeffs.tobytes()
+        assert cached.g_coeffs.tobytes() == rebuilt.g_coeffs.tobytes()
+
+
+def _thirty_particles(model):
+    """30 particles, sqg or ipm: tiles of 8 and a short last one of 6."""
+    state, spec = seeded_sqg_cloud(n_particles=30)
+    if model == "ipm":
+        state, spec = ipm_bubble(n_per_axis=6)
+        state = state.subset(np.arange(state.n) < 30)
+    return state, spec
 
 
 @pytest.mark.parametrize(
     "model, with_g", [("sqg", False), ("ipm", True)], ids=["sqg_x", "ipm"]
 )
 def test_jet_cache_counts_the_bytes_a_unit_holds(monkeypatch, model, with_g):
-    # 30 particles: tiles of 8 and a short last one of 6, 10 units
-    state, spec = seeded_sqg_cloud(n_particles=30)
-    if model == "ipm":
-        state, spec = ipm_bubble(n_per_axis=6)
-        state = state.subset(np.arange(state.n) < 30)
+    state, spec = _thirty_particles(model)
     _units_for(monkeypatch, state.n, 8, 10)
     order = 4
-    _, keep, layout, _ = taylor._jet_kernels(spec, with_g)
+    _, keep, layout = taylor._jet_kernels(spec, with_g)
     assert keep == with_g
     unique = len(layout.unique)
     # a unit holds `order` coefficients of the stream's histories and the
@@ -359,6 +391,35 @@ def test_jet_cache_counts_the_bytes_a_unit_holds(monkeypatch, model, with_g):
         # budget, builds a fresh stream of n + 1 pushes at every order n
         rebuilt = list(range(1, order + 1)) if kept < 10 else []
         assert sorted(pushes.values()) == sorted([order] * kept + rebuilt)
+
+
+@pytest.mark.parametrize(
+    "model, with_g", [("sqg", False), ("ipm", True)], ids=["sqg_x", "ipm"]
+)
+def test_jet_unit_nbytes_is_what_a_kept_unit_holds(monkeypatch, model, with_g):
+    state, spec = _thirty_particles(model)
+    _units_for(monkeypatch, state.n, 8, 10)
+    order = 4
+    sizes = _unit_sizes(spec, with_g, state.n, order)
+    monkeypatch.setattr(taylor, "JET_CACHE_BYTES", sum(sizes[:5]))
+    units = []
+
+    class Recorded(taylor._JetUnit):
+        def __init__(self, *args):
+            super().__init__(*args)
+            units.append(self)
+
+    monkeypatch.setattr(taylor, "_JetUnit", Recorded)
+    time_jets_fast(spec, state, order, with_gradients=with_g)
+    assert [unit.kept for unit in units] == [True] * 5 + [False] * 5
+    for unit in units:
+        if not unit.kept:
+            assert unit.arrays is None  # a rebuilt unit drops its arrays
+            continue
+        stream, y, tiles = unit.arrays
+        histories = [stream._nsq, *stream._factors.values(), *stream._stages.values()]
+        held = sum(a.nbytes for h in histories for a in h) + y.nbytes + tiles.nbytes
+        assert held == unit.nbytes
 
 
 def _row_block_jets(spec, state, order, with_gradients):
@@ -595,20 +656,19 @@ def test_readme_history_bytes():
         "`euler2d` with gradient jets": ("euler2d", True),
         "`ipm`": ("ipm", True),
     }
-    for label, (model, with_g) in rows.items():
-        counts = [
-            taylor.history_arrays(ModelSpec(model, delta), with_g)
-            for delta in (0.0, 0.1)
-        ]
-        assert f"| {label} | {counts[0]} / {counts[1]} " in readme, label
+    # two tiles of 128: two diagonal units and the off-diagonal one between
     n, order = 256, 8
-    spec = ModelSpec("ipm", 0.1)
-    arrays = taylor.history_arrays(spec, True)
-    unique = len(taylor._jet_kernels(spec, True)[2].unique)
-    # two tiles of 128: every pair, plus each diagonal unit's kernel jets on
-    # the 128 * 129 / 2 cells outside its triangle
-    cells = arrays * n * (n - 1) // 2 + unique * 2 * (128 * 129 // 2)
-    mb = 8 * order * cells / 1e6
+    for label, (model, with_g) in rows.items():
+        counts = []
+        for delta in (0.0, 0.1):
+            sizes = _unit_sizes(ModelSpec(model, delta), with_g, n, order)
+            arrays, rest = divmod(sizes[1], 8 * order * 128 * 128)
+            assert rest == 0, label
+            counts.append(arrays)
+        assert f"| {label} | {counts[0]} / {counts[1]} " in readme, label
+    # every pair, plus each diagonal unit's kernel jets on the 128 * 129 / 2
+    # cells outside its triangle
+    mb = sum(_unit_sizes(ModelSpec("ipm", 0.1), True, n, order)) / 1e6
     assert f"{n}-particle `ipm` expansion at order {order} keeps {mb:.0f} MB" in readme
 
 

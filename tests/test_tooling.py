@@ -5,6 +5,7 @@ package imports nothing it does not use.
 benchmark run, ``perfbench/child.py env`` probes the environment before
 every run, and ``perfbench/child.py setup`` times ``cli.build_run``; a
 renamed or deleted name would break those runs, so it fails here first.
+The names README cites from the package must resolve too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -86,6 +88,30 @@ def test_tracer_targets_resolve():
             missing.append(f"{target}.cache_info")
     assert not missing, missing
     assert set(tracer.CACHED) <= set(tracer.TARGETS)
+
+
+def test_readme_names_resolve():
+    # a backticked dotted name whose head is a package module, bare or
+    # called: `taylor.time_jets_fast`, `combinatorics.partitions_by_alpha(n, d)`
+    modules = {p.stem for p in (ROOT / "src" / "lagpaths").glob("*.py")} - {"__init__"}
+    readme = (ROOT / "README.md").read_text()
+    found = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", readme)
+    checked, missing = set(), []
+    for name in found:
+        head, *path = name.split(".")
+        if head == "lagpaths":
+            head, *path = path
+        if head not in modules:
+            continue
+        checked.add(name)
+        obj = importlib.import_module(f"lagpaths.{head}")
+        try:
+            for attr in path:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert {"taylor.time_jets_fast", "combinatorics.partitions_by_alpha"} <= checked
+    assert not missing, missing
 
 
 def test_benchmark_env_probe_runs():
