@@ -505,26 +505,12 @@ def append_state_rows(lines: list[str], state: dynamics.ParticleState) -> None:
         lines.append(f"{t},{i},{','.join(map(repr, row))}")
 
 
-DIAG_HEADER = (
-    "t,chord_min,chord_max,lambda_bound,grad_u_sup,det_dev,"
-    "hamiltonian,p1,p2,ang_imp"
+# the diagnostics.csv columns in order: the keys of a diagnosed state's record
+DIAG_COLUMNS = (
+    "t", "chord_min", "chord_max", "lambda_bound", "grad_u_sup", "det_dev",
+    "hamiltonian", "p1", "p2", "ang_imp",
 )
-
-
-def diag_row(rec: dynamics.DiagnosticsRecord) -> str:
-    parts = [
-        _fmt(rec.t),
-        _fmt(rec.chord_arc_min),
-        _fmt(rec.chord_arc_max),
-        _fmt(rec.lambda_bound),
-        _fmt(rec.grad_u_sup),
-        _fmt(rec.det_grad_max_dev),
-        _fmt(rec.hamiltonian),
-        _fmt(rec.momentum[0]) if rec.momentum is not None else "",
-        _fmt(rec.momentum[1]) if rec.momentum is not None else "",
-        _fmt(rec.angular_impulse),
-    ]
-    return ",".join(parts)
+DIAG_HEADER = ",".join(DIAG_COLUMNS)
 
 
 def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
@@ -536,36 +522,21 @@ def _is_point_vortex(spec: dynamics.ModelSpec) -> bool:
     return planar and spec.regularization_delta == 0.0
 
 
-def _collect_diagnostics(
-    state, spec, grad_u, grad_u_hist, times, chords
-) -> dynamics.DiagnosticsRecord:
+def _diagnose(state, spec, grad_u, chords, records: list[dict]) -> None:
+    """Append the record of ``state`` to ``records``: its ``DIAG_COLUMNS``,
+    None where a column does not apply, and lambda_bound, which integrates
+    over the records up to this one, left for ``run_simulation`` to fill."""
     from . import dynamics
 
-    sup = dynamics.grad_u_sup(grad_u)
-    grad_u_hist.append(sup)
-    times.append(state.t)
-    lam = dynamics.lambda_accumulate(grad_u_hist, times)
-    lo, hi = dynamics.chord_arc(state, sample=chords)
-    det_dev = (
-        dynamics.incompressibility_residual(state)
-        if spec.evolve_gradients and state.grads is not None
-        else None
-    )
-    ham = mom = ang = None
+    r = dict.fromkeys(DIAG_COLUMNS)
+    records.append(r)
+    r["t"], r["grad_u_sup"] = state.t, dynamics.grad_u_sup(grad_u)
+    r["chord_min"], r["chord_max"] = dynamics.chord_arc(state, sample=chords)
+    if spec.evolve_gradients and state.grads is not None:
+        r["det_dev"] = dynamics.incompressibility_residual(state)
     if _is_point_vortex(spec):
-        ham, p, ang = dynamics.invariants_euler2d(state)
-        mom = (float(p[0]), float(p[1]))
-    return dynamics.DiagnosticsRecord(
-        t=state.t,
-        chord_arc_min=lo,
-        chord_arc_max=hi,
-        lambda_bound=lam,
-        grad_u_sup=sup,
-        det_grad_max_dev=det_dev,
-        hamiltonian=ham,
-        momentum=mom,
-        angular_impulse=ang,
-    )
+        r["hamiltonian"], p, r["ang_imp"] = dynamics.invariants_euler2d(state)
+        r["p1"], r["p2"] = float(p[0]), float(p[1])
 
 
 def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -> dict:
@@ -575,6 +546,8 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     initial state, saves the first Taylor step from expanding again.  Writes
     state.csv and diagnostics.csv into ``config.output_dir``, which must exist.
     """
+    import numpy as np
+
     from . import dynamics
 
     state, spec = run
@@ -582,16 +555,12 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
     kind = integ["kind"]
     if kind == "taylor":
         from . import taylor
-
-        taylor.ensure_taylor_model(spec)
     t_end, dt = float(integ["t_end"]), float(integ["dt"])
     every = config.diagnostics["output_every"]
     pair_samples = config.diagnostics["pair_samples"]
 
     state_lines = [state_csv_header(state.dim)]
-    diag_lines = [DIAG_HEADER]
-    grad_u_hist: list[float] = []
-    times: list[float] = []
+    records: list[dict] = []
 
     # the diagnostics need grad u even where G is not evolved
     diag_spec = dataclasses.replace(spec, evolve_gradients=True)
@@ -602,14 +571,12 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
 
     def diagnose(s):
         u, grad_u, w_dot = dynamics.evaluate_rhs(diag_spec, s, threads=threads)
-        rec = _collect_diagnostics(s, spec, grad_u, grad_u_hist, times, chords)
-        diag_lines.append(diag_row(rec))
+        _diagnose(s, spec, grad_u, chords, records)
         append_state_rows(state_lines, s)
         # RK4's first stage at s; u does not depend on grad u being computed
-        return rec, (u, grad_u if spec.evolve_gradients else None, w_dot)
+        return u, grad_u if spec.evolve_gradients else None, w_dot
 
-    rec, rhs = diagnose(state)
-    first = rec
+    rhs = diagnose(state)
 
     step = 0
     while state.t < t_end - 1e-12:
@@ -631,33 +598,35 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
         rhs = None
         step += 1
         if step % every == 0 or state.t >= t_end - 1e-12:
-            rec, rhs = diagnose(state)
+            rhs = diagnose(state)
 
+    # lambda over the records up to each one, from one gather of the columns
+    sups, ts = (np.array([r[c] for r in records]) for c in ("grad_u_sup", "t"))
+    for k, r in enumerate(records, start=1):
+        r["lambda_bound"] = dynamics.lambda_accumulate(sups[:k], ts[:k])
+    first, last = records[0], records[-1]
     drifts = {}
     if _is_point_vortex(spec):
-        drifts = {
-            "hamiltonian": abs(rec.hamiltonian - first.hamiltonian),
-            "momentum": [
-                abs(rec.momentum[0] - first.momentum[0]),
-                abs(rec.momentum[1] - first.momentum[1]),
-            ],
-            "angular_impulse": abs(rec.angular_impulse - first.angular_impulse),
-        }
+        h, p1, p2, ang = (
+            abs(last[c] - first[c]) for c in ("hamiltonian", "p1", "p2", "ang_imp")
+        )
+        drifts = {"hamiltonian": h, "momentum": [p1, p2], "angular_impulse": ang}
 
     summary = {
         "final_t": state.t,
         "steps": step,
-        "chord_min": rec.chord_arc_min,
-        "chord_max": rec.chord_arc_max,
-        "lambda": rec.lambda_bound,
-        "det_dev": rec.det_grad_max_dev,
+        "chord_min": last["chord_min"],
+        "chord_max": last["chord_max"],
+        "lambda": last["lambda_bound"],
+        "det_dev": last["det_dev"],
         "invariant_drifts": drifts,
         # the loop ends on a diagnosed state, so rhs holds its velocity
         "extent_sensitivity": _extent_sensitivity(state, spec, rhs[0], threads),
     }
 
     _write_output(config.output_dir / "state.csv", state_lines)
-    _write_output(config.output_dir / "diagnostics.csv", diag_lines)
+    diag_lines = [",".join(map(_fmt, r.values())) for r in records]
+    _write_output(config.output_dir / "diagnostics.csv", [DIAG_HEADER] + diag_lines)
     return summary
 
 
@@ -699,7 +668,6 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     from . import taylor
 
     state, spec = run
-    taylor.ensure_taylor_model(spec)
     order = config.integrator["taylor_order"]
     with_g = config.integrator["kind"] == "taylor" and spec.evolve_gradients
     jets = taylor.time_jets_fast(
@@ -713,16 +681,10 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     for i in range(jets.n_particles):
         for n in range(order + 1):
             coef = norms[n, i]
-            ratio = (
-                norms[n, i] / norms[n + 1, i]
-                if n < order and norms[n + 1, i] > 0
-                else None
-            )
-            root = coef ** (1.0 / n) if n >= 1 and coef > 0 else None
-            root = 1.0 / root if root else None
-            lines.append(
-                f"{i},{n},{_fmt(coef)},{_fmt(ratio)},{_fmt(root)}"
-            )
+            after = norms[n + 1, i] if n < order else 0.0
+            ratio = coef / after if after > 0 else None
+            root = 1.0 / coef ** (1.0 / n) if n >= 1 and coef > 0 else None
+            lines.append(f"{i},{n},{_fmt(coef)},{_fmt(ratio)},{_fmt(root)}")
 
     def radius(r: float) -> Optional[float]:
         """A radius, or None (JSON null) where a degenerate expansion has
@@ -740,20 +702,10 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
     }
     if state.theta0 is not None and state.grad_theta0 is not None:
         bound = run_radius_bound(config, run)
-        constraints = bound["constraints"]
-        summary.update(
-            {
-                "R_paper": bound["R_paper"],
-                "C0": bound["C0"],
-                "C1": bound["C1"],
-                "enforced_constraints": [
-                    p["constraint"] for p in constraints if p["enforced"]
-                ],
-                "unenforced_constraints": [
-                    p["constraint"] for p in constraints if not p["enforced"]
-                ],
-            }
-        )
+        summary.update({key: bound[key] for key in ("R_paper", "C0", "C1")})
+        names = [(p["constraint"], p["enforced"]) for p in bound["constraints"]]
+        summary["enforced_constraints"] = [name for name, on in names if on]
+        summary["unenforced_constraints"] = [name for name, on in names if not on]
     return summary, lines, jets
 
 
@@ -767,18 +719,11 @@ def run_radius_bound(config: RunConfig, run: tuple) -> dict:
         raise ConfigError("radius bound needs scalar data (theta0) scenarios")
     stats = taylor.holder_stats(state, gamma=0.5, seed=config.seed)
     c1, c0, r_paper, provenance = taylor.paper_radius_bound(stats)
+    held = dataclasses.asdict(stats)  # the data norms, once gamma and lam are out
     return {
-        "gamma": stats.gamma,
-        "lambda": stats.lam,
-        "holder_stats": {
-            "theta_seminorm": stats.theta_seminorm,
-            "theta_l1": stats.theta_l1,
-            "theta_linf": stats.theta_linf,
-            "grad_theta_seminorm": stats.grad_theta_seminorm,
-            "grad_theta_l1": stats.grad_theta_l1,
-            "grad_theta_linf": stats.grad_theta_linf,
-            "map_norm": stats.map_norm,
-        },
+        "gamma": held.pop("gamma"),
+        "lambda": held.pop("lam"),
+        "holder_stats": held,
         "C0": c0,
         "C1": c1,
         "R_paper": r_paper,
@@ -882,6 +827,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command in ("simulate", "taylor", "radius-bound"):
             config = _load_config(args.config)
             run = build_run(config)
+            if args.command == "taylor" or (
+                args.command == "simulate" and config.integrator["kind"] == "taylor"
+            ):
+                from . import taylor
+
+                taylor.ensure_taylor_model(run[1])  # refused before any output
             _make_output_dir(config.output_dir)
             if args.command == "simulate":
                 summary = run_simulation(config, run, threads=args.threads)

@@ -143,29 +143,20 @@ def check_factorial_bound(j: int) -> tuple[Fraction, Fraction, bool]:
 
 
 def enumerate_partitions_1d(n: int, k: int) -> list[Partition1D]:
-    """The set P(n, k), ordered lexicographically on the k-vector."""
+    """The set P(n, k), ordered lexicographically on the k-vector.
+
+    The d = 1 view of `partitions_by_alpha(n, 1)`: a part ((k_l,), l) puts
+    k_l parts of size l into the vector.
+    """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if k > n:
-        return []
-    found: list[Partition1D] = []
-
-    def extend(j: int, vec: list[int], rem_n: int, rem_k: int) -> None:
-        if rem_k == 0:
-            if rem_n == 0:
-                found.append(Partition1D(tuple(vec) + (0,) * (n - len(vec)), n, k))
-            return
-        if rem_k * j > rem_n:  # every remaining part has size >= j
-            return
-        # parts of size j: k_j can be 0..min(rem_n//j, rem_k)
-        for kj in range(min(rem_n // j, rem_k) + 1):
-            vec.append(kj)
-            extend(j + 1, vec, rem_n - j * kj, rem_k - kj)
-            vec.pop()
-
-    extend(1, [], n, k)
-    found.sort(key=lambda p: p.k)
-    return found
+    found = []
+    for part in partitions_by_alpha(n, 1).get((k,), ()):
+        vec = [0] * n
+        for (k_l,), l in zip(part.ks, part.ls):
+            vec[l - 1] = k_l
+        found.append(Partition1D(tuple(vec), n, k))
+    return sorted(found)
 
 
 def enumerate_partitions_multi(

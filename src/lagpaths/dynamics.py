@@ -586,19 +586,6 @@ def rk4_step(
 # -- diagnostics --------------------------------------------------------------
 
 
-@dataclass
-class DiagnosticsRecord:
-    t: float
-    chord_arc_min: float
-    chord_arc_max: float
-    lambda_bound: float
-    grad_u_sup: float
-    det_grad_max_dev: float
-    hamiltonian: Optional[float] = None
-    momentum: Optional[tuple[float, float]] = None
-    angular_impulse: Optional[float] = None
-
-
 # labels per cell that the neighbour search's cell size aims at
 CELL_OCCUPANCY = 4
 

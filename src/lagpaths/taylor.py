@@ -25,7 +25,10 @@ Holder data norms).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,11 +92,19 @@ def _regularized(spec: ModelSpec, k: KernelExpr) -> KernelExpr:
 
 
 def ensure_taylor_model(spec: ModelSpec) -> None:
+    """Refuse what the jets cannot expand: a model without them, or a delta
+    whose blob Gaussian rate 1 / delta^2 (a float in the stream) overflows."""
     if not MODELS[spec.model].taylor:
         covered = ", ".join(tag for tag, row in MODELS.items() if row.taylor)
         raise ConfigError(
             f"Taylor stepping covers {covered}; {spec.model} uses the reference "
             "integrator"
+        )
+    delta = spec.regularization_delta
+    if delta > 0 and 1 / Fraction(delta) ** 2 > sys.float_info.max:
+        raise ConfigError(
+            "Taylor jets need regularization_delta 0 or at least "
+            f"{sys.float_info.max ** -0.5:.4g}, so that 1 / delta^2 is a float"
         )
 
 
@@ -181,6 +192,17 @@ def _jet_kernels(spec: ModelSpec, with_gradients: bool):
     return need_g, keep, KernelStream(comps)
 
 
+@lru_cache(maxsize=2)  # an expansion's tiles have at most two sizes
+def _triangle(side: int):
+    """The pairs j > i of a diagonal tile, (jj, ii), and their flat cells
+    jj * side + ii, shared by the diagonal units of one side."""
+    jj, ii = np.tril_indices(side, -1)
+    tri = jj, ii, jj * side + ii
+    for a in tri:
+        a.flags.writeable = False  # shared across units and expansions
+    return tri
+
+
 class _JetUnit:
     """One work unit of ``time_jets_fast``: its rows (i0, i1) against its
     sources (j0, j1), each unordered pair once (on the diagonal j > i).
@@ -196,9 +218,8 @@ class _JetUnit:
         self.diagonal = i0 == j0
         self.shape = self.batch = (j1 - j0, i1 - i0)
         if self.diagonal:
-            # the pairs j > i, (jj, ii), and their flat cells jj * I + ii
-            jj, ii = np.tril_indices(i1 - i0, -1)
-            self.tri, self.batch = (jj, ii, jj * (i1 - i0) + ii), ii.shape
+            self.tri = _triangle(i1 - i0)
+            self.batch = self.tri[0].shape
         self.kept, self.arrays = False, None
         self.nbytes = 8 * sum(map(math.prod, self._shapes(order)))
 

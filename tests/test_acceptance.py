@@ -20,6 +20,7 @@ import pytest
 from lagpaths import combinatorics as comb
 from lagpaths.cli import main, run_identity_suite, run_kernel_suite
 from lagpaths.dynamics import (
+    MODELS,
     chord_arc,
     evaluate_rhs,
     grad_u_sup,
@@ -257,10 +258,27 @@ def test_criterion_6_taylor_stepper():
     )
 
 
+def _impulse_residuals(jets, state, spec):
+    """Per order n >= 1, the linear impulse coefficient sum_i w rho x_i^(n)
+    (the larger of its components) and the angular one sum_i w rho
+    sum_k x_i^(k) . x_i^(n-k), each relative to the sum of its absolute
+    terms.  Both impulses are conserved by a perp-times-radial kernel."""
+    x = jets.x_coeffs  # (order + 1, N, d)
+    wr = state.weights * MODELS[spec.model].density(state)
+    linear = wr[:, None] * x[1:]
+    lin = np.max(np.abs(linear.sum(axis=1)) / np.abs(linear).sum(axis=1), axis=1)
+    ang = []
+    for n in range(1, jets.order + 1):
+        terms = wr[:, None] * x[: n + 1] * x[n::-1]
+        ang.append(abs(terms.sum()) / np.abs(terms).sum())
+    return lin, np.array(ang)
+
+
 @pytest.fixture(scope="module")
 def bump_run():
     state, spec = sqg_bump(n_per_axis=64)
     jets = time_jets_fast(spec, state, order=12, threads=2)
+    impulse = _impulse_residuals(jets, state, spec)
     est = estimate_radius(jets)
     fitted_c, fitted_r, satisfied = fit_cauchy(jets)
     stats = holder_stats(state, gamma=0.5)
@@ -284,6 +302,7 @@ def bump_run():
         "fitted": (fitted_c, fitted_r, satisfied),
         "r_paper": r_paper,
         "final_t": state.t,
+        "impulse": impulse,
     }
 
 
@@ -307,6 +326,21 @@ def test_criterion_7_structural_invariants(bump_run):
         f"R_paper {bump_run['r_paper']:.2e} <= ratio radius "
         f"{bump_run['ratio_radius']:.3f}",
     )
+
+
+# the criterion-7 jets measured at most 6.0e-16 (linear) and 4.4e-17
+# (angular) on a 2-core x86 host; ten times the larger of the two
+IMPULSE_RESIDUAL_BOUND = 6e-15
+
+
+def test_criterion_7_jets_conserve_impulse(bump_run):
+    # sqg: the linear and angular impulse are conserved, so their time
+    # coefficients of order n >= 1 vanish up to rounding; with one unit's
+    # source side dropped the same jets gave 3.1e-7 (linear) and 4.7e-8
+    lin, ang = bump_run["impulse"]
+    assert len(lin) == len(ang) == 12
+    assert lin.max() <= IMPULSE_RESIDUAL_BOUND, lin
+    assert ang.max() <= IMPULSE_RESIDUAL_BOUND, ang
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from lagpaths import cli, dynamics, scenarios, taylor
 from lagpaths.cli import (
-    DIAG_HEADER,
     RunConfig,
     main,
     run_identity_suite,
@@ -152,6 +151,7 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         {"integrator": {**_TAYLOR, "t_end": 1e308}},
         {"scenario": {**_INLINE, "width": 0}},
         {"scenario": {**_INLINE, "width": -0.5}},
+        {"regularization_delta": 1e-160},
     ],
     ids=[
         "flat_extent",
@@ -175,6 +175,7 @@ _TAYLOR = {"kind": "taylor", "dt": 0.02, "t_end": 0.02}
         "huge_t_end",
         "zero_width",
         "negative_width",
+        "delta_without_float_rate",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, recwarn, overrides):
@@ -194,6 +195,28 @@ def test_malformed_config_exits_2(tmp_path, capsys, recwarn, overrides):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+@pytest.mark.parametrize(
+    "command, kind, delta",
+    [("simulate", "taylor", 1e-160), ("taylor", "rk4", 1e-155)],
+    ids=["simulate_taylor", "taylor_rk4"],
+)
+def test_jets_refuse_delta_without_float_rate(tmp_path, capsys, command, kind, delta):
+    # the jets stream the blob Gaussian at the float rate 1 / delta^2, here
+    # above 1e308; an rk4 simulate saturates the factor and runs
+    # (test_tiny_delta_runs_without_warnings)
+    path, _ = _write_config(
+        tmp_path,
+        model="sqg",
+        scenario="sqg_bump",
+        grid={**_GRID, "n_per_axis": 4},
+        regularization_delta=delta,
+        integrator={**_TAYLOR, "kind": kind, "taylor_order": 6},
+    )
+    assert main([command, "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "regularization_delta 0 or at least 7.458e-155" in capsys.readouterr().err
 
 
 def test_config_without_integrator_kind_runs_rk4(tmp_path):
@@ -317,7 +340,10 @@ def test_simulate_two_vortex_outputs(tmp_path):
     assert state_lines[0] == state_csv_header(2)
     assert state_lines[0] == "t,particle_id,a1,a2,x1,x2,g11,g12,g21,g22,theta0"
     diag_lines = (out / "diagnostics.csv").read_text().splitlines()
-    assert diag_lines[0] == DIAG_HEADER
+    assert diag_lines[0] == (
+        "t,chord_min,chord_max,lambda_bound,grad_u_sup,det_dev,"
+        "hamiltonian,p1,p2,ang_imp"
+    )
 
 
 def test_point_vortex_invariants_only_for_euler2d():

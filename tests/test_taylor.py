@@ -422,6 +422,25 @@ def test_jet_unit_nbytes_is_what_a_kept_unit_holds(monkeypatch, model, with_g):
         assert held == unit.nbytes
 
 
+def test_diagonal_units_of_one_side_share_triangle_indices(monkeypatch):
+    state, spec = _thirty_particles("sqg")
+    _units_for(monkeypatch, state.n, 8, 10)
+    _, keep, layout = taylor._jet_kernels(spec, False)
+    units = [
+        taylor._JetUnit(unit, layout, state.dim, 4, keep)
+        for unit in dynamics._pair_units(state.n)
+    ]
+    diagonal = [unit for unit in units if unit.diagonal]
+    assert [i1 - i0 for (i0, i1) in (unit.rows for unit in diagonal)] == [8, 8, 8, 6]
+    first, *same, short = diagonal
+    for unit in same:
+        assert all(a is b for a, b in zip(unit.tri, first.tri))
+    assert not any(a.flags.writeable for a in first.tri)
+    assert short.tri[0] is not first.tri[0]
+    jj, ii, flat = short.tri
+    assert np.array_equal(flat, jj * 6 + ii) and np.all(jj > ii) and len(jj) == 15
+
+
 def _row_block_jets(spec, state, order, with_gradients):
     """The generic route before the pair-once units, as the reference: row
     blocks of every row i against all N sources, so each pair is streamed

@@ -114,6 +114,17 @@ def test_readme_names_resolve():
     assert not missing, missing
 
 
+def test_readme_lists_the_diagnostics_columns():
+    # README "Output files" gives the diagnostics.csv header as the program
+    # writes it, column for column
+    from lagpaths import cli
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
+    item = section.split("* `diagnostics.csv`", 1)[1].split("\n* ", 1)[0]
+    assert re.findall(r"`([^`]*)`", item)[0] == cli.DIAG_HEADER
+
+
 def test_benchmark_env_probe_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
