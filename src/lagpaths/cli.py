@@ -600,10 +600,11 @@ def run_simulation(config: RunConfig, run: tuple, threads: int = 1, jets=None) -
         if step % every == 0 or state.t >= t_end - 1e-12:
             rhs = diagnose(state)
 
-    # lambda over the records up to each one, from one gather of the columns
-    sups, ts = (np.array([r[c] for r in records]) for c in ("grad_u_sup", "t"))
-    for k, r in enumerate(records, start=1):
-        r["lambda_bound"] = dynamics.lambda_accumulate(sups[:k], ts[:k])
+    # lambda over the records up to each one, in one pass over the columns
+    columns = ([r[c] for r in records] for c in ("grad_u_sup", "t"))
+    lams = dynamics.lambda_prefixes(*columns)
+    for r, lam in zip(records, lams.tolist()):
+        r["lambda_bound"] = lam
     first, last = records[0], records[-1]
     drifts = {}
     if _is_point_vortex(spec):

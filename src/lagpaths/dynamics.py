@@ -32,8 +32,9 @@ import dataclasses
 import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -279,6 +280,14 @@ def normalize_model_tag(tag: str) -> str:
 PAIR_BLOCK = 2**15
 
 
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The pool that every ``_run_chunks`` call on ``workers`` threads
+    shares, made on first use: a new pool per call cost about 100 times a
+    serial call of trivial chunks."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _run_chunks(fn, n: int, rows: int, threads: int = 1) -> list:
     """fn over the blocks (i0, i1) of ``rows`` rows (the last may be shorter)
     that cover rows 0..n, in row order; the boundaries depend on n and rows
@@ -288,8 +297,9 @@ def _run_chunks(fn, n: int, rows: int, threads: int = 1) -> list:
     workers = min(threads, len(chunks))
     if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    futures = [_pool(workers).submit(fn, c) for c in chunks]
+    wait(futures)  # every chunk ends before a failure propagates
+    return [f.result() for f in futures]
 
 
 def _pair_units(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -744,17 +754,29 @@ def grad_u_sup(grad_u: np.ndarray) -> float:
     return float(np.max(operator_norms(grad_u)))
 
 
-def lambda_accumulate(grad_u_history, times) -> float:
-    """exp of the trapezoid-rule integral of the grad-u sup history.
+def lambda_prefixes(grad_u_history, times) -> np.ndarray:
+    """exp of the trapezoid-rule integral of the grad-u sup history over
+    each of its prefixes, 1 for one sample.
 
-    ``times`` are the sample times; they need not be evenly spaced.
+    ``times`` are the sample times; they need not be evenly spaced.  The
+    integrals are one running sum of the trapezoid pieces, compensated: each
+    addition's rounding error is exact (two-sum) and summed apart, so a
+    prefix is as close as ``np.trapezoid``'s pairwise sum, in linear time.
     """
     hist = np.asarray(grad_u_history, dtype=float)
     if np.any(hist < 0):
         raise ValueError("grad_u history must be nonnegative")
-    if len(hist) < 2:
-        return 1.0
-    return float(np.exp(np.trapezoid(hist, x=np.asarray(times, dtype=float))))
+    pieces = np.diff(np.asarray(times, dtype=float)) * (hist[1:] + hist[:-1]) / 2.0
+    run = np.concatenate(([0.0], np.cumsum(pieces)))
+    before, after = run[:-1], run[1:]
+    added = after - before
+    err = (before - (after - added)) + (pieces - added)
+    return np.exp(run + np.concatenate(([0.0], np.cumsum(err))))
+
+
+def lambda_accumulate(grad_u_history, times) -> float:
+    """exp of the trapezoid-rule integral of the whole grad-u sup history."""
+    return float(lambda_prefixes(grad_u_history, times)[-1])
 
 
 def invariants_euler2d(state: ParticleState) -> tuple[float, np.ndarray, float]:

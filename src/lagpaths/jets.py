@@ -45,13 +45,13 @@ def pow_step(u, p, exponent: float, n: int) -> np.ndarray:
     return acc / (n * u[0])
 
 
-def exp_step(u, e, n: int) -> np.ndarray:
-    """Coefficient n of exp(u) from e, the coefficients below n."""
+def exp_step(u, e, n: int, rate: float = 1.0) -> np.ndarray:
+    """Coefficient n of exp(rate u) from e, the coefficients below n."""
     if n == 0:
-        return np.exp(u[0])
+        return np.exp(rate * u[0])
     acc = np.zeros_like(u[0])
     for k in range(1, n + 1):
-        acc += k * u[k] * e[n - k]
+        acc += rate * k * u[k] * e[n - k]
     return acc / n
 
 
@@ -73,11 +73,11 @@ def pow_coeffs(u: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-def exp_coeffs(u: np.ndarray) -> np.ndarray:
-    """Coefficients of exp(u)."""
+def exp_coeffs(u: np.ndarray, rate: float = 1.0) -> np.ndarray:
+    """Coefficients of exp(rate u)."""
     out = np.zeros_like(u)
     for n in range(u.shape[0]):
-        out[n] = exp_step(u, out, n)
+        out[n] = exp_step(u, out, n, rate)
     return out
 
 
@@ -119,25 +119,24 @@ class Jet:
 class KernelStream:
     """Scalar kernels on a displacement jet, one time coefficient per push.
 
-    This is Taylor-mode propagation: coefficient n of |y|^2, of its powers
-    and Gaussians, and of every product stage of every term comes from the
-    coefficients below n, so a push costs O(n) where rebuilding the jets
-    costs O(n^2).  The steps are those of ``mul_coeffs``, ``pow_coeffs`` and
-    ``exp_coeffs`` in the same order, so coefficient n is bitwise what the
-    full-jet evaluation gives.  Two shortcuts change no value: the zero
-    coefficients of a term's constant are not multiplied in, and a term
-    with a negative constant runs as the negation of its positive twin
-    (rounding is symmetric in sign; every consumer is a sum from +0, which
-    drops the sign of a zero), so the regularized twins K and -K e share
-    their stages.
+    This is Taylor-mode propagation: coefficient n of every kept series
+    comes from the coefficients below n, so a push costs O(n) where
+    rebuilding the jets costs O(n^2).  A component is a sum over its
+    monomials Y of c Y * R: the Cauchy product of Y with its radial series
+    R = sum r |y|^-p exp(-q |y|^2), whose first r is 1, times c.  A
+    regularized kernel's series is B_p = P_p - P_p * G, with P_p = |y|^-p
+    and G its Gaussian.  The steps are those of ``mul_coeffs``,
+    ``pow_coeffs`` and ``exp_coeffs`` in a fixed order, so coefficient n is
+    bitwise what the same association of full jets gives.
 
     Components equal or opposite to an earlier one are evaluated once:
     ``unique`` holds the evaluated ones and ``slots`` maps each requested
-    component to (unique index, sign).  Kept per pushed coefficient are
-    |y|^2, one power per radial exponent, one Gaussian per rate and every
-    stage of two or more factors that a longer stage extends: ``histories``
-    arrays of the batch shape.  y itself and one-factor stages are
-    recomputed each push.
+    component to (unique index, sign).  ``kept`` holds the coefficients
+    pushed so far of |y|^2, each power, each Gaussian, each other radial
+    series (series that differ by a constant are one) and each monomial of
+    degree 2 or more: ``histories`` lists of arrays of the batch shape.  A
+    Gaussian that is 0.0 on every pair at coefficient 0 is 0.0 at every
+    order, so its later coefficients are that array, not computed.
     """
 
     def __init__(self, comps: tuple[ScalarKernel, ...]):
@@ -152,27 +151,47 @@ class KernelStream:
                 slots.append((len(self.unique), 1.0))
                 self.unique.append(comp)
         self.slots = tuple(slots)
-        # a term is (negated, stage key); a key is (|c|, factor, ...) with the
-        # factors ("y", axis), ("p", rpow), ("g", grate) in multiplication order
-        self._terms = []
+        # per component, its terms (c, factors, key): c times the Cauchy
+        # product of y over the factor axes with the series kept at key, a
+        # series being its terms (r, p, q) in the kernel's canonical order
+        self._reads, used = [], []
         for comp in self.unique:
-            terms = []
+            groups: dict[tuple, list] = {}
             for t in comp.terms:
-                c = t.coeff_float()
-                key = (abs(c),)
-                key += tuple(("y", i) for i, e in enumerate(t.mono) for _ in range(e))
-                key += (("p", t.rpow),) if t.rpow else ()
-                key += (("g", t.grate),) if t.grate else ()
-                terms.append((c < 0, key))
-            self._terms.append(terms)
-        keys = {key for terms in self._terms for _, key in terms}
-        factors = {f for key in keys for f in key[1:] if f[0] != "y"}
-        self._nsq: list[np.ndarray] = []
-        self._factors = {f: [] for f in factors}
-        stored = {key[:k] for key in keys for k in range(3, len(key))}
-        self._stages = {key: [] for key in sorted(stored, key=len)}  # parents first
-        self.histories = 1 + len(self._factors) + len(self._stages)
+                groups.setdefault((t.mono, t.pi_pow), []).append(t)
+            reads = []
+            for (mono, _), ts in groups.items():
+                s = tuple(
+                    (float(t.coeff / ts[0].coeff), t.rpow, float(t.grate)) for t in ts
+                )
+                f = tuple(i for i, e in enumerate(mono) for _ in range(e))
+                (_, p, q), key = s[0], ("r", s)
+                if len(s) == 1 and bool(p) != bool(q):
+                    key = ("p", p) if p else ("g", q)  # a power or Gaussian itself
+                reads.append((ts[0].coeff_float(), f, key))
+                used += [("p", p) for _, p, _ in s if p]
+                used += [("g", q) for _, _, q in s if q]
+                used += [key] + [("y", f[:k]) for k in range(2, len(f) + 1)]
+            self._reads.append(reads)
+        # in push order: the powers and Gaussians, then what reads them
+        used.sort(key=lambda key: key[0] not in "pg")
+        self.kept = {("nsq", None): []} | {key: [] for key in used}
+        self.histories = len(self.kept)
         self.n = 0
+
+    def _radial(self, s, n: int) -> np.ndarray:
+        """Coefficient n of the radial series s, its terms summed from +0."""
+        kept, acc = self.kept, 0.0
+        for r, p, q in s:
+            if p and q:
+                v = mul_step(kept["p", p], kept["g", q], n)
+            elif p or q:
+                v = kept[("p", p) if p else ("g", q)][n]
+            else:
+                v = np.full(kept["nsq", None][0].shape, float(n == 0))
+            # r v is exact for r = 1 and r = -1
+            acc = acc + v if r == 1.0 else acc - v if r == -1.0 else acc + r * v
+        return acc
 
     def push(self, y: np.ndarray, out=None) -> np.ndarray:
         """Coefficient n of every unique component, n the coefficients pushed.
@@ -182,49 +201,39 @@ class KernelStream:
         and y's batch axes after them.  It is written into ``out`` where
         given (zeroed first, so the bytes are those of a fresh result).
         """
-        n = self.n
+        n, kept = self.n, self.kept
         ys = [y[:, i] for i in range(y.shape[1])]
         nsq = mul_step(ys[0], ys[0], n)
         for yi in ys[1:]:
             nsq = nsq + mul_step(yi, yi, n)
         if n == 0 and np.any(nsq == 0.0):
             raise SingularEvaluationError("zero displacement at jet order 0")
-        self._nsq.append(nsq)
-        for (kind, v), hist in self._factors.items():
+        kept["nsq", None].append(nsq)
+        for (kind, v), hist in kept.items():
             if kind == "p":
-                hist.append(pow_step(self._nsq, hist, -v / 2.0, n))
-            else:
-                hist.append(exp_step(_Scaled(-float(v), self._nsq), hist, n))
-
-        def factor(f):
-            return ys[f[1]] if f[0] == "y" else self._factors[f]
-
-        def seq(key):  # coefficients 0..n of a stage
-            if len(key) > 2:
-                return self._stages[key]
-            return _Scaled(key[0], factor(key[1]))
-
-        def coeff(key):  # coefficient n of a stage
-            if key in self._stages:
-                return self._stages[key][n]
-            if len(key) == 1:
-                return key[0] if n == 0 else 0.0
-            if len(key) == 2:
-                return key[0] * factor(key[1])[n]
-            return mul_step(seq(key[:-1]), factor(key[-1]), n)
-
-        for key, hist in self._stages.items():
-            hist.append(mul_step(seq(key[:-1]), factor(key[-1]), n))
+                hist.append(pow_step(kept["nsq", None], hist, -v / 2.0, n))
+            elif kind == "g" and n and not hist[0].any():
+                hist.append(hist[0])  # 0.0 on every pair, so at every order
+            elif kind == "g":
+                # past -max, -q |y|^2 rounds to -inf, whose exp is the limit 0
+                with np.errstate(over="ignore" if n == 0 else None):
+                    hist.append(exp_step(kept["nsq", None], hist, n, -v))
+            elif kind == "r":
+                hist.append(self._radial(v, n))
+            elif kind == "y":
+                prev = ys[v[0]] if len(v) == 2 else kept["y", v[:-1]]
+                hist.append(mul_step(prev, ys[v[-1]], n))
         if out is None:
             out = np.zeros((len(self.unique),) + nsq.shape)
         else:
             out[...] = 0.0
-        for u, terms in enumerate(self._terms):
-            for negated, key in terms:
-                if negated:
-                    out[u] -= coeff(key)
-                else:
-                    out[u] += coeff(key)
+        for u, reads in enumerate(self._reads):
+            for c, f, key in reads:
+                if not f:
+                    out[u] += c * kept[key][n]
+                    continue
+                mono = ys[f[0]] if len(f) == 1 else kept["y", f]
+                out[u] += c * mul_step(mono, kept[key], n)
         self.n += 1
         return out
 
@@ -233,16 +242,6 @@ class KernelStream:
         return np.stack(
             [values[i] if sign > 0 else 0.0 - values[i] for i, sign in self.slots]
         )
-
-
-class _Scaled:
-    """The sequence c * seq[k], each entry formed where it is read."""
-
-    def __init__(self, c: float, seq):
-        self.c, self.seq = c, seq
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.c * self.seq[k]
 
 
 def kernel_on_jet(expr: KernelExpr, y: Jet) -> Jet:

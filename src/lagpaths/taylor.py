@@ -150,7 +150,14 @@ def time_jets_oracle(
         raise NumericalFailureError("coincident particles in oracle jets")
     deriv_vals: dict[tuple, np.ndarray] = {}
     for alpha in multi_indices_up_to(order - 1, d) if order >= 2 else []:
-        vals = expr.derive_multi(alpha).evaluate(flat_safe)  # (N*N, d)
+        try:
+            vals = expr.derive_multi(alpha).evaluate(flat_safe)  # (N*N, d)
+        except OverflowError as exc:  # powers of the rate 1 / delta^2
+            raise ConfigError(
+                f"oracle jets at order {order} need a larger regularization_delta "
+                f"than {spec.regularization_delta:g}: an exact kernel derivative's "
+                "coefficients exceed the float range"
+            ) from exc
         vals[diag] = 0.0
         deriv_vals[alpha] = vals.reshape(n_pts, n_pts, d)
 

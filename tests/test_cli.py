@@ -219,6 +219,22 @@ def test_jets_refuse_delta_without_float_rate(tmp_path, capsys, command, kind, d
     assert "regularization_delta 0 or at least 7.458e-155" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [7.458340731200208e-155, 1e-154])
+def test_taylor_just_above_the_delta_bound_runs_without_warnings(tmp_path, delta):
+    # 1 / delta^2 is near 1.8e308, so -|y|^2 / delta^2 rounds to -inf on
+    # these pairs: their Gaussian is 0.0, and each unit drops it
+    path, _ = _write_config(
+        tmp_path,
+        model="sqg",
+        scenario="sqg_bump",
+        grid={**_GRID, "n_per_axis": 4},
+        regularization_delta=delta,
+        integrator={**_TAYLOR, "taylor_order": 6},
+    )
+    assert main(["taylor", "--config", str(path)]) == 0
+
+
 def test_config_without_integrator_kind_runs_rk4(tmp_path):
     # integrator.kind defaults to rk4: the same state.csv as naming it
     states = []

@@ -340,6 +340,37 @@ def test_nearest_neighbor_pairs_match_brute_force(monkeypatch, cloud):
         dynamics.nearest_neighbor_pairs(labels, n)
 
 
+def test_lambda_prefixes_match_a_trapezoid_per_prefix():
+    # a long uneven history: steps of 0.2 to 1.8 times the mean
+    rng = np.random.default_rng(8)
+    n = 10001
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.8, n - 1))))
+    times *= 20.0 / times[-1]
+    hist = np.abs(1.0 + 0.5 * np.sin(times) + 0.1 * rng.normal(size=n))
+    got = dynamics.lambda_prefixes(hist, times)
+    want = [math.exp(np.trapezoid(hist[:k], x=times[:k])) for k in range(1, n + 1)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got[0] == 1.0
+    assert lambda_accumulate(hist, times) == got[-1]
+
+
+def test_run_chunks_keeps_one_pool_per_worker_count():
+    for _ in range(2):
+        got = dynamics._run_chunks(lambda c: c, 10, 3, threads=2)
+        assert got == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    made = dynamics._pool.cache_info().misses
+    dynamics._run_chunks(lambda c: c, 10, 3, threads=2)
+    assert dynamics._pool.cache_info().misses == made
+
+    def fail(c):
+        if c[0] == 0:
+            raise ValueError("first chunk")
+        return c
+
+    with pytest.raises(ValueError, match="first chunk"):
+        dynamics._run_chunks(fail, 10, 3, threads=2)
+
+
 def test_lambda_accumulate():
     assert lambda_accumulate([0.0, 0.0, 0.0], [0.0, 0.1, 0.2]) == 1.0
     c, t_end, steps = 0.7, 2.0, 400

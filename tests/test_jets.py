@@ -286,8 +286,10 @@ def test_kernel_on_jet_batched_matches_single():
         )
 
 
-def _full_jet_kernel(expr, y):
-    """Every order at once through mul_coeffs, pow_coeffs and exp_coeffs."""
+def _full_jet_kernel(expr, y, magnitudes=False):
+    """Every order at once through mul_coeffs, pow_coeffs and exp_coeffs,
+    term by term: the constant, then each y factor, |y|^-p and the Gaussian.
+    With ``magnitudes``, the sum of the terms' absolute values."""
     nsq = jet_norm_sq(y).coeffs
     n1 = y.coeffs.shape[0]
     comp_out = []
@@ -303,7 +305,45 @@ def _full_jet_kernel(expr, y):
                 val = mul_coeffs(val, pow_coeffs(nsq, -t.rpow / 2.0))
             if t.grate:
                 val = mul_coeffs(val, exp_coeffs(-float(t.grate) * nsq))
-            total += val
+            total += np.abs(val) if magnitudes else val
+        comp_out.append(total)
+    stacked = np.stack(comp_out, axis=1)
+    return stacked.reshape((n1,) + expr.shape + nsq.shape[1:])
+
+
+def _radial_first_kernel(expr, y):
+    """Every order at once, radial series first: per monomial Y (and power
+    of pi) of a component, R = sum r |y|^-p exp(-q |y|^2), r the term's
+    constant over the first one, from pow_coeffs, exp_coeffs and
+    mul_coeffs, then the first constant times the Cauchy product of Y
+    with R."""
+    nsq = jet_norm_sq(y).coeffs
+    n1 = y.coeffs.shape[0]
+    comp_out = []
+    for comp in expr.comps:
+        groups = {}
+        for t in comp.terms:
+            groups.setdefault((t.mono, t.pi_pow), []).append(t)
+        total = np.zeros(nsq.shape)
+        for (mono, _), ts in groups.items():
+            radial = 0.0
+            for t in ts:
+                r = float(t.coeff / ts[0].coeff)
+                val = np.zeros(nsq.shape)
+                val[0] = 1.0
+                if t.rpow:
+                    val = pow_coeffs(nsq, -t.rpow / 2.0)
+                if t.grate:
+                    gauss = exp_coeffs(nsq, -float(t.grate))
+                    val = mul_coeffs(val, gauss) if t.rpow else gauss
+                radial = radial + r * val
+            factors = [y.coeffs[:, i] for i, e in enumerate(mono) for _ in range(e)]
+            if factors:
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = mul_coeffs(prod, f)
+                radial = mul_coeffs(prod, radial)
+            total += ts[0].coeff_float() * radial
         comp_out.append(total)
     stacked = np.stack(comp_out, axis=1)
     return stacked.reshape((n1,) + expr.shape + nsq.shape[1:])
@@ -311,7 +351,7 @@ def _full_jet_kernel(expr, y):
 
 @pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
 def test_kernel_stream_bitwise_equals_full_jet_evaluation(batch):
-    # shared stages, sign-folded twins and deduplicated components must not
+    # shared series, shared monomials and deduplicated components must not
     # move a single bit: the taylor route's outputs are byte-compared
     rng = np.random.default_rng(31)
     exprs = [
@@ -326,9 +366,15 @@ def test_kernel_stream_bitwise_equals_full_jet_evaluation(batch):
             coeffs = rng.normal(size=(order + 1, expr.dim) + batch)
             coeffs[0, 0] += 2.0
             got = kernel_on_jet(expr, Jet(coeffs)).coeffs
-            want = _full_jet_kernel(expr, Jet(coeffs))
+            want = _radial_first_kernel(expr, Jet(coeffs))
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # the term-by-term association differs in rounding only, which
+            # scales with the terms: the derivative's cancel to 1e-5 of them
+            diff = np.abs(got - _full_jet_kernel(expr, Jet(coeffs)))
+            terms = _full_jet_kernel(expr, Jet(coeffs), magnitudes=True)
+            scale = np.max(terms.reshape(order + 1, -1), axis=1)
+            assert np.all(diff.reshape(order + 1, -1) <= 1e-13 * scale[:, None])
 
 
 @pytest.mark.parametrize("batch", [(5, 7), (21,)], ids=["tile", "triangle"])
@@ -359,8 +405,30 @@ def test_kernel_stream_evaluates_equal_components_once():
     sqg = regularize(sqg_velocity_kernel(), 0.5)
     stream = KernelStream(sqg.comps + sqg.comps)
     assert len(stream.unique) == 2
-    # |y|^2, |y|^-3, the Gaussian and the two pre-Gaussian stages y_perp |y|^-3
-    assert stream.histories == 5
+    # |y|^2, |y|^-3, the Gaussian and B_3 = |y|^-3 (1 - the Gaussian)
+    assert stream.histories == 4
+    # the ipm layout (Biot-Savart and strain): |y|^2, |y|^-2, |y|^-4, the
+    # Gaussian, B_2, B_4 and the monomials y1 y2 and y1^2 of the strain
+    ipm = catalog("biot_savart_2d")
+    comps = regularize(ipm.velocity_kernel, 0.5).comps
+    comps += regularize(ipm.gradient_kernel, 0.5).comps
+    assert KernelStream(comps).histories == 8
+
+
+def test_kernel_stream_skips_a_gaussian_that_is_zero_on_every_pair():
+    # |y|^2 / delta^2 = 4e4 on every pair: exp is 0.0 at every order, so
+    # B_3 is |y|^-3 and the components are the unregularized ones
+    rng = np.random.default_rng(2)
+    y = rng.normal(size=(5, 2, 6)) * 0.1
+    y[0] = [[1.0] * 6, [0.0] * 6]
+    kernel = sqg_velocity_kernel()
+    saturated = KernelStream(regularize(kernel, 0.005).comps)
+    plain = KernelStream(kernel.comps)
+    for _ in range(5):
+        assert saturated.push(y).tobytes() == plain.push(y).tobytes()
+    # the Gaussian is one zero array, not recomputed
+    (gauss,) = [h for key, h in saturated.kept.items() if key[0] == "g"]
+    assert all(g is gauss[0] for g in gauss) and not gauss[0].any()
 
 
 _QUARTERS = st.integers(-4, 4).map(lambda k: Fraction(k, 4))

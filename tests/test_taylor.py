@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -110,6 +111,16 @@ def test_oracle_caps():
     state, spec = seeded_sqg_cloud()
     with pytest.raises(ConfigError):
         time_jets_oracle(spec, state, order=9)
+
+
+def test_oracle_refuses_a_delta_whose_derivatives_overflow():
+    # the exact derivatives carry powers of the rate 1 / delta^2: at order 6
+    # a rate of 1e120 makes coefficients past the float range
+    state, spec = seeded_sqg_cloud(n_particles=8)
+    with pytest.raises(ConfigError, match="exceed the float range"):
+        time_jets_oracle(replace(spec, regularization_delta=1e-60), state, order=6)
+    jets = time_jets_oracle(replace(spec, regularization_delta=1e-20), state, order=6)
+    assert np.all(np.isfinite(jets.x_coeffs))
 
 
 def test_single_particle_constant_jet():
@@ -417,9 +428,21 @@ def test_jet_unit_nbytes_is_what_a_kept_unit_holds(monkeypatch, model, with_g):
             assert unit.arrays is None  # a rebuilt unit drops its arrays
             continue
         stream, y, tiles = unit.arrays
-        histories = [stream._nsq, *stream._factors.values(), *stream._stages.values()]
-        held = sum(a.nbytes for h in histories for a in h) + y.nbytes + tiles.nbytes
+        held = sum(a.nbytes for h in stream.kept.values() for a in h)
+        held += y.nbytes + tiles.nbytes
         assert held == unit.nbytes
+
+
+@pytest.mark.parametrize("build", [sqg_bump, ipm_bubble], ids=["sqg", "ipm"])
+def test_saturated_units_stream_the_unregularized_kernel(build):
+    # the grid spacing, 4 / 15, is past the cutoff 27.3 delta, so every
+    # pair's Gaussian is 0.0 and each unit drops it at its first push
+    state, spec = build(n_per_axis=16, delta=0.005)
+    regularized = time_jets_fast(spec, state, 6, with_gradients=True)
+    plain = time_jets_fast(replace(spec, regularization_delta=0.0), state, 6,
+                           with_gradients=True)
+    assert regularized.x_coeffs.tobytes() == plain.x_coeffs.tobytes()
+    assert regularized.g_coeffs.tobytes() == plain.g_coeffs.tobytes()
 
 
 def test_diagonal_units_of_one_side_share_triangle_indices(monkeypatch):
