@@ -693,7 +693,7 @@ def run_taylor_analysis(config: RunConfig, run: tuple, threads: int = 1) -> tupl
         return r if math.isfinite(r) else None
 
     summary = {
-        "aggregate_radius": radius(est.aggregate),
+        "aggregate_radius": radius(est.aggregate_ratio),
         "aggregate_radius_root": radius(est.aggregate_root),
         "fitted_C": fitted_c,
         "fitted_R": radius(fitted_r),
@@ -749,6 +749,20 @@ def _write_output(path: Path, lines: list[str]) -> None:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _non_finite_key(value, key: str = "") -> Optional[str]:
+    """The dotted key of the first non-finite number in a summary, which JSON
+    cannot hold, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return key
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for k, item in items:
+            found = _non_finite_key(item, f"{key}.{k}" if key else str(k))
+            if found is not None:
+                return found
+    return None
 
 
 def _thread_count(text: str) -> int:
@@ -850,7 +864,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 summary = run_radius_bound(config, run)
                 name = "radius_bound.json"
-            text = json.dumps(summary, indent=2, sort_keys=True)
+            try:
+                text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError:
+                key = _non_finite_key(summary)
+                raise NumericalFailureError(f"{key} is not finite") from None
             _write_output(config.output_dir / name, [text])
             print(text)
             return 0

@@ -24,7 +24,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 MultiIndex = tuple[int, ...]
 
@@ -190,8 +190,8 @@ def partitions_by_alpha(
     come in strictly increasing l, and a part is taken only if what it leaves
     of n is 0 or can still pay for a part with a larger l, so every node of
     the search reaches a leaf.  Keys follow `multi_indices_up_to` order and
-    each tuple is sorted by (s, ls, ks): `faa_di_bruno_multi` and
-    `taylor.time_jets_oracle` sum floats in this order.
+    each tuple is sorted by (s, ls, ks): `taylor.time_jets_oracle` sums
+    floats in this order.
 
     Cached because the Faa di Bruno evaluations reuse the same index sets for
     every particle pair and every kernel component.
@@ -225,46 +225,6 @@ def partitions_by_alpha(
         alpha: tuple(sorted(groups[alpha], key=lambda p: (p.s, p.ls, p.ks)))
         for alpha in sorted(groups)
     }
-
-
-def faa_di_bruno_multi(
-    h_derivs: Mapping[MultiIndex, object],
-    g_derivs: Sequence[Sequence],
-    n: int,
-):
-    """n-th derivative of h(g(x)) for vector-valued g, scalar h.
-
-    ``h_derivs[alpha]`` is the partial derivative of h of multi-order alpha
-    evaluated at g(x0), required for every 1 <= |alpha| <= n;
-    ``g_derivs[l][i]`` is the l-th derivative of component i of g at x0,
-    for l = 1..n.  Values may be Fractions or floats; the convention 0**0 = 1
-    applies inside the partition products.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = len(g_derivs[1])
-    total = None
-    for alpha, partitions in partitions_by_alpha(n, d).items():
-        try:
-            h_val = h_derivs[alpha]
-        except KeyError as exc:
-            raise KeyError(f"missing h derivative for multi-index {alpha}") from exc
-        inner = None
-        for part in partitions:
-            term = Fraction(1)
-            for k, l in zip(part.ks, part.ls):
-                denom = mi_factorial(k) * factorial(l) ** mi_order(k)
-                term = term / denom
-                for i, ki in enumerate(k):
-                    if ki:
-                        term = term * g_derivs[l][i] ** ki
-            inner = term if inner is None else inner + term
-        if inner is not None:
-            contrib = h_val * inner
-            total = contrib if total is None else total + contrib
-    if total is None:
-        raise ValueError("no admissible multi-index: check n >= 1")
-    return factorial(n) * total
 
 
 def magic_identity_1d(n: int) -> tuple[Fraction, Fraction, bool]:
@@ -323,7 +283,11 @@ def magic_identity_multi(
 
 
 def _series_pair(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(a_m, b_m) of `series_coefficients` as integer (num, den) pairs."""
+    """The non-negative coefficient pair (a_m, b_m) as integer (num, den) pairs.
+
+    a_m = 2*(m+1)*(-1)**m*(1/2 choose m+1) generates (1-t)**(-1/2);
+    b_m = (-1)**(m-1)*(1/2 choose m) generates 2-(1-t)**(1/2).
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
     num, den = _half_binomial(m + 1)
@@ -340,17 +304,6 @@ def _series_numerators(n: int) -> list[tuple[list[int], int]]:
         den = lcm(*(d for _, d in pairs))
         out.append(([num * (den // d) for num, d in pairs], den))
     return out
-
-
-@lru_cache(maxsize=None)
-def series_coefficients(m: int) -> tuple[Fraction, Fraction]:
-    """The non-negative coefficient pair (a_m, b_m).
-
-    a_m = 2*(m+1)*(-1)**m*(1/2 choose m+1) generates (1-t)**(-1/2);
-    b_m = (-1)**(m-1)*(1/2 choose m) generates 2-(1-t)**(1/2).
-    """
-    a_m, b_m = _series_pair(m)
-    return Fraction(*a_m), Fraction(*b_m)
 
 
 def S_n_identity(n: int) -> tuple[Fraction, Fraction, bool, bool]:

@@ -551,43 +551,29 @@ def rk4_step(
     if dt <= 0:
         raise ConfigError("dt must be positive")
 
-    def rhs(s: ParticleState, evaluated=None):
+    def rates(s: ParticleState, evaluated=None) -> dict:
+        """d/dt of each field the step evolves, keyed by its state field."""
         u, grad_u, w_dot = evaluated or evaluate_rhs(spec, s, threads=threads)
-        g_dot = None
+        out = {"positions": u}
         if grad_u is not None:
-            g_dot = np.einsum("nij,njk->nik", grad_u, s.grads)
-        return u, g_dot, w_dot
-
-    def advanced(base: ParticleState, rates, factor: float) -> ParticleState:
-        u, g_dot, w_dot = rates
-        kw = {"positions": base.positions + factor * u, "t": base.t + factor}
-        if g_dot is not None:
-            kw["grads"] = base.grads + factor * g_dot
+            out["grads"] = np.einsum("nij,njk->nik", grad_u, s.grads)
         if w_dot is not None:
-            kw["boussinesq_w"] = base.boussinesq_w + factor * w_dot
-        return base.replace(**kw)
+            out["boussinesq_w"] = w_dot
+        return out
 
-    k1 = rhs(state, rhs0)
-    k2 = rhs(advanced(state, k1, dt / 2.0))
-    k3 = rhs(advanced(state, k2, dt / 2.0))
-    k4 = rhs(advanced(state, k3, dt))
+    def advanced(k: dict, factor: float) -> ParticleState:
+        kw = {f: getattr(state, f) + factor * rate for f, rate in k.items()}
+        return state.replace(t=state.t + factor, **kw)
 
-    def combine(parts):
-        vals = [p for p in parts if p is not None]
-        if not vals:
-            return None
-        a, b, c, d = parts
-        return (a + 2.0 * b + 2.0 * c + d) * (dt / 6.0)
-
-    du = combine([k[0] for k in (k1, k2, k3, k4)])
-    dg = combine([k[1] for k in (k1, k2, k3, k4)])
-    dw = combine([k[2] for k in (k1, k2, k3, k4)])
-    kw = {"positions": state.positions + du, "t": state.t + dt}
-    if dg is not None:
-        kw["grads"] = state.grads + dg
-    if dw is not None:
-        kw["boussinesq_w"] = state.boussinesq_w + dw
-    new = state.replace(**kw)
+    k1 = rates(state, rhs0)
+    k2 = rates(advanced(k1, dt / 2.0))
+    k3 = rates(advanced(k2, dt / 2.0))
+    k4 = rates(advanced(k3, dt))
+    kw = {
+        f: getattr(state, f) + (k1[f] + 2.0 * k2[f] + 2.0 * k3[f] + k4[f]) * (dt / 6.0)
+        for f in k1
+    }
+    new = state.replace(t=state.t + dt, **kw)
     if not np.all(np.isfinite(new.positions)):
         raise NumericalFailureError("non-finite positions after RK4 step")
     return new
@@ -683,49 +669,31 @@ def nearest_neighbor_pairs(
     return np.stack([np.repeat(np.arange(n), k), nbr.reshape(-1)], axis=-1)
 
 
-def sampled_pairs(
-    neighbors: np.ndarray, n: int, sample_pairs: int, seed: int
-) -> np.ndarray:
-    """``neighbors`` followed by ``sample_pairs`` seeded uniform draws of pairs
-    among n labels, self pairs dropped."""
-    pairs = [neighbors]
-    if sample_pairs > 0:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n, size=sample_pairs)
-        j = rng.integers(0, n, size=sample_pairs)
-        keep = i != j
-        pairs.append(np.stack([i[keep], j[keep]], axis=-1))
-    return np.concatenate(pairs, axis=0)
-
-
 def chord_arc_sample(
     labels: np.ndarray, neighbors: np.ndarray, sample_pairs: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``chord_arc`` compares, ``neighbors`` and then the seeded
-    draws of ``sampled_pairs``, with their label distances |a_i - a_j|.
-    Labels never move, so one sample serves a whole run."""
-    pairs = sampled_pairs(neighbors, len(labels), sample_pairs, seed)
+    """The pairs ``chord_arc`` compares, ``neighbors`` followed by
+    ``sample_pairs`` seeded uniform draws of pairs among the labels, self
+    pairs dropped, with their label distances |a_i - a_j|.  Labels never
+    move, so one sample serves a whole run."""
+    pairs = [neighbors]
+    if sample_pairs > 0:
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, len(labels), size=sample_pairs)
+        j = rng.integers(0, len(labels), size=sample_pairs)
+        keep = i != j
+        pairs.append(np.stack([i[keep], j[keep]], axis=-1))
+    pairs = np.concatenate(pairs, axis=0)
     return pairs, np.linalg.norm(labels[pairs[:, 0]] - labels[pairs[:, 1]], axis=-1)
 
 
 def chord_arc(
-    state: ParticleState,
-    sample_pairs: int = 2048,
-    seed: int = 0,
-    sample: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    state: ParticleState, sample: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
-    """Extremes of |a_i - a_j| / |X_i - X_j| over sampled and neighbor pairs.
-
-    ``sample`` is ``chord_arc_sample`` of the state's labels when the caller
-    already has it; otherwise the label neighbours and ``sample_pairs``
-    seeded draws are formed here.
-    """
-    n = state.n
-    if n < 2:
+    """Extremes of |a_i - a_j| / |X_i - X_j| over the pairs of ``sample``,
+    the ``chord_arc_sample`` of the state's labels."""
+    if state.n < 2:
         raise ConfigError("chord-arc needs at least 2 particles")
-    if sample is None:
-        neighbors = nearest_neighbor_pairs(state.labels)
-        sample = chord_arc_sample(state.labels, neighbors, sample_pairs, seed)
     pairs, da = sample
     dx = np.linalg.norm(
         state.positions[pairs[:, 0]] - state.positions[pairs[:, 1]], axis=-1
@@ -772,11 +740,6 @@ def lambda_prefixes(grad_u_history, times) -> np.ndarray:
     added = after - before
     err = (before - (after - added)) + (pieces - added)
     return np.exp(run + np.concatenate(([0.0], np.cumsum(err))))
-
-
-def lambda_accumulate(grad_u_history, times) -> float:
-    """exp of the trapezoid-rule integral of the whole grad-u sup history."""
-    return float(lambda_prefixes(grad_u_history, times)[-1])
 
 
 def invariants_euler2d(state: ParticleState) -> tuple[float, np.ndarray, float]:

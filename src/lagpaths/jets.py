@@ -95,19 +95,6 @@ class Jet:
     def shape(self) -> tuple[int, ...]:
         return self.coeffs.shape[1:]
 
-    def __add__(self, other: "Jet") -> "Jet":
-        if self.order != other.order:
-            raise ValueError("jet order mismatch")
-        return Jet(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        if self.order != other.order:
-            raise ValueError("jet order mismatch")
-        return Jet(self.coeffs - other.coeffs)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return Jet(mul_coeffs(self.coeffs, other.coeffs))
-
     def evaluate(self, h: float) -> np.ndarray:
         """Horner evaluation of the polynomial at time offset h."""
         acc = np.array(self.coeffs[-1], copy=True)

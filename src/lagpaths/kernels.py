@@ -136,9 +136,6 @@ class ScalarKernel:
             for mono, rpow, g, pi_pow, num in self.rows
         )
 
-    def is_zero(self) -> bool:
-        return not self.rows
-
     @property
     def parity(self) -> Optional[int]:
         """s in K(-y) = s K(y): 1 when every term's monomial degree is even,
@@ -286,17 +283,6 @@ class KernelExpr:
         comps = tuple(itertools.chain.from_iterable(rows))
         return KernelExpr(rows[0][0].dim, (len(rows), len(rows[0])), comps)
 
-    def component(self, *idx: int) -> ScalarKernel:
-        flat = 0
-        for i, n in zip(idx, self.shape):
-            flat = flat * n + i
-        return self.comps[flat]
-
-    def derive(self, axis: int) -> "KernelExpr":
-        return KernelExpr(
-            self.dim, self.shape, tuple(c.derive(axis) for c in self.comps)
-        )
-
     def derive_multi(self, alpha: MultiIndex) -> "KernelExpr":
         return KernelExpr(
             self.dim, self.shape, tuple(c.derive_multi(alpha) for c in self.comps)
@@ -319,9 +305,6 @@ class KernelExpr:
             self.shape,
             tuple(a - b for a, b in zip(self.comps, other.comps)),
         )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
     def times_gaussian(self, rate: Fraction) -> "KernelExpr":
         return KernelExpr(

@@ -8,7 +8,6 @@ unregularized with the self term excluded by antisymmetry.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -211,10 +210,3 @@ def build_scenario(name: str, **overrides):
         )
     return SCENARIOS[name].build(**overrides)
 
-
-def corotation_closed_form(t: float) -> np.ndarray:
-    """Exact two_vortex positions at time t (midpoint (1/2, 0), Omega = 1/pi)."""
-    omega = 1.0 / math.pi
-    mid = np.array([0.5, 0.0])
-    arm = 0.5 * np.array([math.cos(omega * t), math.sin(omega * t)])
-    return np.stack([mid - arm, mid + arm])

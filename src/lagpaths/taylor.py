@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +42,12 @@ from .dynamics import (
     _displacements,
     _pair_units,
     _unit_order_sum,
+    chord_arc_sample,
     evaluate_rhs,
     nearest_neighbor_pairs,
     operator_norms,
     pair_weights,
     read_velocity,
-    sampled_pairs,
 )
 from .errors import ConfigError, NumericalFailureError
 from .jets import Jet, KernelStream, mul_step
@@ -65,8 +65,6 @@ class TrajectoryJets:
     """Per-particle normalized time-Taylor coefficients of the map."""
 
     x_coeffs: np.ndarray  # (order+1, N, d)
-    t0: float
-    model: str
     g_coeffs: Optional[np.ndarray] = None  # (order+1, N, d, d)
 
     @property
@@ -180,7 +178,7 @@ def time_jets_oracle(
         xj[n + 1] = np.einsum("j,ijk->ik", w_rho, total) / (n + 1)
     if not np.all(np.isfinite(xj)):
         raise NumericalFailureError("non-finite jet coefficients")
-    return TrajectoryJets(xj, state.t, spec.model, None)
+    return TrajectoryJets(xj)
 
 
 # -- jet propagation ----------------------------------------------------------
@@ -363,17 +361,7 @@ def time_jets_fast(
 
     if not np.all(np.isfinite(xj)) or (need_g and not np.all(np.isfinite(gj))):
         raise NumericalFailureError("non-finite jet coefficients")
-    return TrajectoryJets(xj, state.t, spec.model, gj)
-
-
-def ode1d_testbed(rhs: Callable[[Jet], Jet], g0: float, order: int) -> Jet:
-    """Taylor coefficients of the solution of g' = rhs(g), g(0) = g0."""
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = g0
-    for n in range(order):
-        val = rhs(Jet(coeffs[: n + 1]))
-        coeffs[n + 1] = val.coeffs[n] / (n + 1)
-    return Jet(coeffs)
+    return TrajectoryJets(xj, gj)
 
 
 # -- radius estimation and envelope fitting -----------------------------------
@@ -383,15 +371,9 @@ def ode1d_testbed(rhs: Callable[[Jet], Jet], g0: float, order: int) -> Jet:
 class RadiusEstimate:
     per_particle_ratio: np.ndarray
     per_particle_root: np.ndarray
-    aggregate_ratio: float
+    aggregate_ratio: float  # the radius; falls back on the root estimate
     aggregate_root: float
-    degenerate: bool = False  # all-zero coefficient tails
     growing: bool = False  # estimates increase with order: no finite radius
-
-    @property
-    def aggregate(self) -> float:
-        """The ratio estimate, which falls back on the root estimate."""
-        return self.aggregate_ratio
 
 
 _TINY = 1e-300
@@ -462,13 +444,11 @@ def estimate_radius(jets: TrajectoryJets) -> RadiusEstimate:
         nr = live[half:-1] / live[half + 1 :]
         growing_flags = np.all(np.diff(nr, axis=0) > 0, axis=0)
 
-    degenerate = bool(np.all(np.isinf(ratio_pp)))
     return RadiusEstimate(
         per_particle_ratio=ratio_pp,
         per_particle_root=root_pp,
         aggregate_ratio=float(np.min(ratio_pp)),
         aggregate_root=float(np.min(root_pp)),
-        degenerate=degenerate,
         growing=bool(growing_flags.size and growing_flags.all()),
     )
 
@@ -528,7 +508,7 @@ def taylor_step(
             spec, state, order, with_gradients=spec.evolve_gradients, threads=threads
         )
     est = estimate_radius(jets)
-    radius = est.aggregate
+    radius = est.aggregate_ratio
     h = safety * min(radius, h_cap)
     if not (np.isfinite(h) and h > np.finfo(float).eps * safety * h_cap):
         raise NumericalFailureError("taylor step size degenerate")
@@ -588,11 +568,9 @@ def holder_stats(
     if state.theta0 is None or state.grad_theta0 is None:
         raise ConfigError("holder statistics need theta0 and grad_theta0")
     labels = state.labels
-    n = state.n
-    pairs = sampled_pairs(
-        nearest_neighbor_pairs(labels, min(4, n - 1)), n, sample_pairs, seed
+    pairs, dist = chord_arc_sample(
+        labels, nearest_neighbor_pairs(labels, min(4, state.n - 1)), sample_pairs, seed
     )
-    dist = np.linalg.norm(labels[pairs[:, 0]] - labels[pairs[:, 1]], axis=-1)
     dgam = dist**gamma
 
     dtheta = np.abs(state.theta0[pairs[:, 0]] - state.theta0[pairs[:, 1]])

@@ -21,16 +21,14 @@ from lagpaths import combinatorics as comb
 from lagpaths.cli import main, run_identity_suite, run_kernel_suite
 from lagpaths.dynamics import (
     MODELS,
-    chord_arc,
     evaluate_rhs,
     grad_u_sup,
     incompressibility_residual,
     invariants_euler2d,
-    lambda_accumulate,
+    lambda_prefixes,
     rk4_step,
 )
 from lagpaths.scenarios import (
-    corotation_closed_form,
     seeded_sqg_cloud,
     sqg_bump,
     two_vortex,
@@ -41,12 +39,17 @@ from lagpaths.taylor import (
     estimate_radius,
     fit_cauchy,
     holder_stats,
-    ode1d_testbed,
     paper_radius_bound,
     time_jets_fast,
     time_jets_oracle,
 )
-from lagpaths.jets import Jet
+from reference import (
+    corotation_closed_form,
+    faa_di_bruno_multi,
+    jet_mul,
+    ode1d_testbed,
+    sampled_chord_arc,
+)
 
 COROTATION_PERIOD = 2.0 * math.pi**2
 
@@ -179,7 +182,7 @@ def test_criterion_4_cross_oracle_faa_di_bruno():
             for l in range(n + 1)
         ]
         expected = factorial(n) * (f[n] if n < len(f) else Fraction(0))
-        assert comb.faa_di_bruno_multi(h_derivs, g_derivs, n) == expected
+        assert faa_di_bruno_multi(h_derivs, g_derivs, n) == expected
     _report(
         4,
         time.perf_counter() - t0,
@@ -243,11 +246,9 @@ def test_criterion_6_taylor_stepper():
     step_err = np.max(np.abs(taylor_pos - ref.positions))
     assert step_err < 1e-8
 
-    testbed = ode1d_testbed(lambda g: g * g, 1.0, 20)
+    testbed = ode1d_testbed(lambda g: jet_mul(g, g), 1.0, 20)
     assert np.max(np.abs(testbed.coeffs - 1.0)) < 1e-12
-    est = estimate_radius(
-        TrajectoryJets(testbed.coeffs[:, None, None], 0.0, "euler2d", None)
-    )
+    est = estimate_radius(TrajectoryJets(testbed.coeffs[:, None, None]))
     assert abs(est.aggregate_ratio - 1.0) <= 0.05
 
     _report(
@@ -292,8 +293,8 @@ def bump_run():
         rhs = evaluate_rhs(spec, state, threads=2)
         sups.append(grad_u_sup(rhs[1]))
         times.append(state.t)
-    lam_hat = lambda_accumulate(sups, times)
-    lo, hi = chord_arc(state, 4096, seed=0)
+    lam_hat = lambda_prefixes(sups, times)[-1]
+    lo, hi = sampled_chord_arc(state, 4096, seed=0)
     return {
         "det_dev": incompressibility_residual(state),
         "chord": (lo, hi),

@@ -473,6 +473,56 @@ def test_taylor_coincident_particles_exit_3(tmp_path, monkeypatch, capsys):
     assert "zero displacement" in capsys.readouterr().err
 
 
+_TINY_GRID = {"extent": [[0.0, 1e-310], [0.0, 1e-310]], "n_per_axis": 4}
+_SMALL_GRID = {"extent": [[-2.0, 2.0], [-2.0, 2.0]], "n_per_axis": 4}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        # label distances underflow to 0: C0 and R_paper were NaN
+        (
+            "radius-bound",
+            {"model": "sqg", "scenario": "sqg_bump", "grid": _TINY_GRID},
+            "holder_stats.theta_seminorm",
+        ),
+        # the data norms overflow: C0 was Infinity
+        (
+            "radius-bound",
+            {
+                "model": "sqg",
+                "scenario": {"field": "gaussian", "amplitude": 1e300},
+                "grid": _SMALL_GRID,
+            },
+            "holder_stats.grad_theta_seminorm",
+        ),
+        # lambda was Infinity and the angular impulse drift NaN
+        (
+            "simulate",
+            {
+                "scenario": "vortex_pair",
+                "integrator": {"kind": "rk4", "dt": 1e300, "t_end": 1e300},
+            },
+            "lambda",
+        ),
+    ],
+    ids=["underflowed_labels", "overflowed_amplitude", "overflowed_step"],
+)
+def test_non_finite_summary_exits_3_and_writes_no_summary(
+    tmp_path, capsys, command, overrides, key
+):
+    path, _ = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path)]) == 3
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["diagnostics.csv", "state.csv"] if command == "simulate" else []
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {key} is not finite\n"
+
+
 def test_taylor_command_summary_fields(tmp_path):
     cfg = {
         "model": "sqg",
@@ -811,7 +861,7 @@ def test_simulate_finds_label_neighbors_once(tmp_path, monkeypatch):
 
 
 def test_simulate_draws_chord_arc_sample_once(tmp_path, monkeypatch):
-    draws = _count_calls(monkeypatch, dynamics, "sampled_pairs")
+    draws = _count_calls(monkeypatch, dynamics, "chord_arc_sample")
     chords = _count_calls(monkeypatch, dynamics, "chord_arc")
     path, _ = _write_config(
         tmp_path, diagnostics={"pair_samples": 64, "output_every": 1}

@@ -20,15 +20,14 @@ from lagpaths.combinatorics import (
     convolution_identity,
     enumerate_partitions_1d,
     enumerate_partitions_multi,
-    faa_di_bruno_multi,
     magic_identity_1d,
     magic_identity_multi,
     mi_order,
     multi_indices_up_to,
     partitions_by_alpha,
-    series_coefficients,
     sign_pow,
 )
+from reference import faa_di_bruno_multi, series_coefficients
 
 F = Fraction
 

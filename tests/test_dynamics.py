@@ -14,14 +14,13 @@ from lagpaths.dynamics import (
     ROT90,
     ModelSpec,
     ScalarField,
-    chord_arc,
     evaluate_rhs,
     grad_u_sup,
     identity_grads,
     incompressibility_residual,
     init_grid,
     invariants_euler2d,
-    lambda_accumulate,
+    lambda_prefixes,
     make_point_vortex_state,
     operator_norms,
     poisson_bracket,
@@ -32,7 +31,6 @@ from lagpaths.errors import ConfigError, NumericalFailureError
 from lagpaths.kernels import catalog
 from lagpaths.scenarios import (
     boussinesq_bubble,
-    corotation_closed_form,
     euler3d_ring,
     gaussian_field,
     ipm_bubble,
@@ -41,6 +39,7 @@ from lagpaths.scenarios import (
     two_vortex,
     vortex_pair,
 )
+from reference import corotation_closed_form, sampled_chord_arc
 
 TWO_PI = 2.0 * math.pi
 COROTATION_PERIOD = 2.0 * math.pi**2
@@ -233,11 +232,11 @@ def test_invariant_drift_small():
 
 def test_chord_arc_identity_and_rigid_rotation():
     state, _ = sqg_bump(n_per_axis=12)
-    assert chord_arc(state, 256, seed=1) == (1.0, 1.0)
+    assert sampled_chord_arc(state, 256, seed=1) == (1.0, 1.0)
     ang = 0.7
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     rotated = state.replace(positions=state.positions @ rot.T)
-    lo, hi = chord_arc(rotated, 256, seed=1)
+    lo, hi = sampled_chord_arc(rotated, 256, seed=1)
     assert abs(lo - 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
 
 
@@ -246,23 +245,9 @@ def test_chord_arc_flags_coincident_positions():
     pos = state.positions.copy()
     pos[1] = pos[0]
     collapsed = state.replace(positions=pos)
-    lo, hi = chord_arc(collapsed, 64, seed=2)
+    lo, hi = sampled_chord_arc(collapsed, 64, seed=2)
     assert math.isinf(hi)
     assert math.isfinite(lo)
-
-
-@pytest.mark.parametrize("moved", [False, True], ids=["stepped", "collapsed"])
-def test_chord_arc_sample_matches_per_call_path(moved):
-    """A sample drawn once per run gives what each call drew for itself."""
-    state, spec = sqg_bump(n_per_axis=12)
-    state = rk4_step(spec, state, 0.1)
-    if moved:
-        positions = state.positions.copy()
-        positions[1] = positions[0]
-        state = state.replace(positions=positions)
-    neighbors = dynamics.nearest_neighbor_pairs(state.labels)
-    sample = dynamics.chord_arc_sample(state.labels, neighbors, 256, 7)
-    assert chord_arc(state, sample=sample) == chord_arc(state, 256, seed=7)
 
 
 def _argmin_neighbors(labels):
@@ -351,7 +336,6 @@ def test_lambda_prefixes_match_a_trapezoid_per_prefix():
     want = [math.exp(np.trapezoid(hist[:k], x=times[:k])) for k in range(1, n + 1)]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
     assert got[0] == 1.0
-    assert lambda_accumulate(hist, times) == got[-1]
 
 
 def test_run_chunks_keeps_one_pool_per_worker_count():
@@ -372,16 +356,16 @@ def test_run_chunks_keeps_one_pool_per_worker_count():
 
 
 def test_lambda_accumulate():
-    assert lambda_accumulate([0.0, 0.0, 0.0], [0.0, 0.1, 0.2]) == 1.0
+    assert lambda_prefixes([0.0, 0.0, 0.0], [0.0, 0.1, 0.2])[-1] == 1.0
     c, t_end, steps = 0.7, 2.0, 400
     hist = np.full(steps + 1, c)
     times = np.linspace(0.0, t_end, steps + 1)
     np.testing.assert_allclose(
-        lambda_accumulate(hist, times), math.exp(c * t_end), rtol=1e-12
+        lambda_prefixes(hist, times)[-1], math.exp(c * t_end), rtol=1e-12
     )
     # a short last step: the spacing is uneven
     np.testing.assert_allclose(
-        lambda_accumulate([c, c, c], [0.0, 0.1, 0.15]), math.exp(c * 0.15),
+        lambda_prefixes([c, c, c], [0.0, 0.1, 0.15])[-1], math.exp(c * 0.15),
         rtol=1e-12,
     )
 

@@ -1,5 +1,5 @@
 """What the benchmark reads from the package must exist in it, and the
-package imports nothing it does not use.
+package imports nothing it does not use and defines nothing only tests call.
 
 ``perfbench/tracer.py`` wraps each name in ``TARGETS`` for the traced
 benchmark run, ``perfbench/child.py env`` probes the environment before
@@ -63,6 +63,58 @@ def test_no_unused_module_imports():
     assert sources
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+# package names that stay without a caller, each with its reason
+CALLER_ALLOWLIST: dict[str, str] = {}
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function and class of a module and
+    of each method of its classes that is not a dunder."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_src_names_have_a_caller():
+    # src/ holds what a command or the benchmark runs: a function only tests
+    # call belongs in tests/.  A name counts as called when package code
+    # names it outside its own definition, when a perfbench script spells
+    # it, or when the _scenario decorator registers it.
+    sources = (ROOT / "src" / "lagpaths").glob("*.py")
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    assert trees
+    named: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.setdefault(name, []).append((path, node.lineno))
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        bench |= set(re.findall(r"\w+", path.read_text()))
+    uncalled = []
+    for path, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            own = range(node.lineno, node.end_lineno + 1)
+            called = any(p != path or line not in own for p, line in named.get(name, ()))
+            registered = any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_scenario"
+                for d in node.decorator_list
+            )
+            key = f"{path.stem}.{qualname}"
+            if not (called or name in bench or registered or key in CALLER_ALLOWLIST):
+                uncalled.append(key)
+    assert not uncalled, uncalled
 
 
 def _load_tracer():
